@@ -51,6 +51,7 @@ from .order import (
     annotate_suggestion,
     classic_scree,
     lambda_scree,
+    plateau_fit,
     suggest_plateau_L,
 )
 from .panel import (

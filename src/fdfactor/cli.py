@@ -22,13 +22,12 @@ import numpy as np
 from ._version import __version__
 from .curves import dense_trace, interpolate
 from .diagnostics import (
-    auto_thinning,
+    _selection,
     averaged_periodogram,
     iid_noise_test,
     residual_acf,
     residual_correlation,
     residual_covariance,
-    select_frequencies,
 )
 from .errors import (
     DegenerateVarianceError,
@@ -40,10 +39,11 @@ from .errors import (
     SelectionError,
 )
 from .factor import fit, load_fit_residuals, save_fit
-from .order import classic_scree, lambda_scree, suggest_plateau_L
+from .order import classic_scree, lambda_scree, plateau_fit, suggest_plateau_L
 from .panel import (
     ObservationPanel,
     SampleGrid,
+    _write_rows,
     impute_missing,
     load_panel,
     read_table_with_missing,
@@ -93,26 +93,18 @@ def _write_manifest(out_dir: Path, command: str, params: dict, inputs: dict) -> 
         fh.write("\n")
 
 
-def _fmt_cell(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
+def _load_residuals(args):
+    """Residual panel of ``--from-fit`` or ``--input``, and the file it came from."""
+    if args.from_fit is not None:
+        return load_fit_residuals(args.from_fit), Path(args.from_fit) / "residuals.csv"
+    if args.input is None:
+        raise PanelFormatError("provide --input or --from-fit")
+    return load_panel(args.input, header=args.header), Path(args.input)
 
 
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt_cell(x) for x in row) + "\n")
-
-
-def _load_input_panel(args) -> ObservationPanel:
-    return load_panel(args.input, header=args.header)
-
-
-def _selection_args(p, T, cutoff, thin):
-    m = auto_thinning(p, T, cutoff) if thin is None else thin
-    return select_frequencies(p, cutoff, m)
+def _write_xi(path, sel, xi) -> None:
+    _write_rows(path, zip(sel.indices.tolist(), sel.thetas.tolist(), xi.tolist()),
+                ["index", "theta", "xi"])
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +114,7 @@ def _cmd_fit(args) -> int:
     chosen = sum([args.L is not None, args.scree_auto, args.mean_only])
     if chosen != 1:
         raise OrderError("choose exactly one of --L, --scree-auto, --mean-only")
-    panel = _load_input_panel(args)
+    panel = load_panel(args.input, header=args.header)
     out = Path(args.out)
     params = {"input": str(args.input), "header": args.header}
 
@@ -132,18 +124,15 @@ def _cmd_fit(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         save_panel(ObservationPanel(np.array(signals), panel.grid), out / "signals.csv")
         save_panel(ObservationPanel(panel.values - signals, panel.grid), out / "residuals.csv")
-        with open(out / "muhat.csv", "w") as fh:
-            fh.write(",".join(repr(float(x)) for x in panel.grid.points) + "\n")
-            fh.write(",".join(repr(float(x)) for x in mu) + "\n")
+        _write_rows(out / "muhat.csv", [mu], panel.grid.points)
         params["mode"] = "mean-only"
         _write_manifest(out, "fit", params, {"input": args.input})
         return 0
 
     if args.scree_auto:
-        sel = _selection_args(panel.p, panel.T, args.cutoff, args.thin)
+        sel = _selection(panel.p, panel.T, args.cutoff, args.thin)
         l_max = min(args.lmax, min(panel.T - 1, panel.p))
-        curve = lambda_scree(panel, l_max, sel)
-        suggestion = suggest_plateau_L(curve)
+        _, suggestion, result = plateau_fit(panel, l_max, sel)
         L = suggestion.L
         params["l_policy"] = "plateau"
         params["plateau_found"] = suggestion.plateau_found
@@ -155,31 +144,24 @@ def _cmd_fit(args) -> int:
     else:
         L = args.L
         params["l_policy"] = "fixed"
+        result = fit(panel, L)
 
     params["L"] = int(L)
-    result = fit(panel, L)
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
     save_fit(result, out)
     _write_manifest(out, "fit", params, {"input": args.input})
     if args.trace_curve is not None:
         curve = interpolate(result, args.trace_curve)
-        _write_csv(out / "trace.csv", ["s", "value"], dense_trace(curve, args.trace_points))
+        _write_rows(out / "trace.csv", dense_trace(curve, args.trace_points), ["s", "value"])
     print(json.dumps({"L": int(L), "T": result.T, "p": result.p, "out": str(out)}))
     return 0
 
 
 def _cmd_test(args) -> int:
-    if args.from_fit is not None:
-        residuals = load_fit_residuals(args.from_fit)
-        input_path = Path(args.from_fit) / "residuals.csv"
-    else:
-        if args.input is None:
-            raise PanelFormatError("provide --input or --from-fit")
-        residuals = _load_input_panel(args)
-        input_path = Path(args.input)
+    residuals, input_path = _load_residuals(args)
 
-    sel = _selection_args(residuals.p, residuals.T, args.cutoff, args.thin)
+    sel = _selection(residuals.p, residuals.T, args.cutoff, args.thin)
     report = iid_noise_test(residuals, sel, sigma2=args.sigma2)
     payload = report.to_dict()
     print(json.dumps(payload, indent=2, sort_keys=True))
@@ -189,11 +171,7 @@ def _cmd_test(args) -> int:
         with open(out / "report.json", "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        _write_csv(
-            out / "xi.csv",
-            ["index", "theta", "xi"],
-            zip(sel.indices.tolist(), sel.thetas.tolist(), report.xi.tolist()),
-        )
+        _write_xi(out / "xi.csv", sel, report.xi)
         _write_manifest(
             out, "test",
             {"cutoff": args.cutoff, "thin": args.thin, "sigma2": args.sigma2,
@@ -204,8 +182,8 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_scree(args) -> int:
-    panel = _load_input_panel(args)
-    sel = _selection_args(panel.p, panel.T, args.cutoff, args.thin)
+    panel = load_panel(args.input, header=args.header)
+    sel = _selection(panel.p, panel.T, args.cutoff, args.thin)
     l_max = min(args.lmax, min(panel.T - 1, panel.p))
     lam = lambda_scree(panel, l_max, sel)
     gamma = classic_scree(empirical_eigensystem(panel), l_max)
@@ -213,11 +191,9 @@ def _cmd_scree(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out / "scree.csv",
-        ["l", "gamma", "lambda_inf"],
-        zip(lam.orders.tolist(), gamma.values.tolist(), lam.values.tolist()),
-    )
+    _write_rows(out / "scree.csv",
+                zip(lam.orders.tolist(), gamma.values.tolist(), lam.values.tolist()),
+                ["l", "gamma", "lambda_inf"])
     params = {"lmax": l_max, "cutoff": args.cutoff, "thin": args.thin}
     if suggestion is not None:
         params["suggested_L"] = suggestion.L
@@ -240,14 +216,7 @@ def _parse_window(expr, p):
 
 
 def _cmd_diagnose(args) -> int:
-    if args.from_fit is not None:
-        residuals = load_fit_residuals(args.from_fit)
-        input_path = Path(args.from_fit) / "residuals.csv"
-    else:
-        if args.input is None:
-            raise PanelFormatError("provide --input or --from-fit")
-        residuals = _load_input_panel(args)
-        input_path = Path(args.input)
+    residuals, input_path = _load_residuals(args)
 
     if not 1 <= args.curve <= residuals.T:
         raise DimensionError(f"curve index {args.curve} out of range 1..{residuals.T}")
@@ -256,10 +225,9 @@ def _cmd_diagnose(args) -> int:
 
     h_max = min(args.hmax, residuals.p - 1)
     acvf, acf = residual_acf(residuals.values[args.curve - 1], h_max)
-    rows = []
-    for h in range(h_max + 1):
-        rows.append([h, float(acvf[h]), float(acf[h]) if acf is not None else ""])
-    _write_csv(out / "acf.csv", ["lag", "acvf", "acf"], rows)
+    acf_col = acf.tolist() if acf is not None else [None] * (h_max + 1)
+    _write_rows(out / "acf.csv", zip(range(h_max + 1), acvf.tolist(), acf_col),
+                ["lag", "acvf", "acf"])
 
     cov = residual_covariance(residuals)
     corr, _ = residual_correlation(residuals)
@@ -270,13 +238,8 @@ def _cmd_diagnose(args) -> int:
     np.savetxt(out / "covariance.csv", cov, delimiter=",")
     np.savetxt(out / "correlation.csv", corr, delimiter=",")
 
-    sel = _selection_args(residuals.p, residuals.T, args.cutoff, args.thin)
-    xi = averaged_periodogram(residuals, sel)
-    _write_csv(
-        out / "xi.csv",
-        ["index", "theta", "xi"],
-        zip(sel.indices.tolist(), sel.thetas.tolist(), xi.tolist()),
-    )
+    sel = _selection(residuals.p, residuals.T, args.cutoff, args.thin)
+    _write_xi(out / "xi.csv", sel, averaged_periodogram(residuals, sel))
     _write_manifest(
         out, "diagnose",
         {"curve": args.curve, "hmax": h_max, "cols": args.cols,
@@ -286,42 +249,70 @@ def _cmd_diagnose(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    with open(args.spec) as fh:
-        raw = json.load(fh)
-    seed = raw.get("seed")
-    if seed is None:
-        seed = secrets.randbits(63)
-        print(f"seed: {seed}")
-    else:
-        print(f"seed: {seed}")
-    settings = [
-        SimSetting(p=int(s["p"]), T=int(s["T"]), sigma2=float(s["sigma2"]),
-                   theta_ar=float(s.get("theta_ar", 0.0)))
-        for s in raw["settings"]
+_NUMBER = (int, float)
+_NULL = type(None)
+#: accepted JSON types of the spec keys ``simulate`` reads; an optional key
+#: left out takes its SimulationSpec or SimSetting default
+_SPEC_TYPES = {
+    "dgp": (str,), "kind": (str,), "settings": (list,), "replications": (int,),
+    "seed": (int, _NULL), "methods": (list,), "l_policy": (str,), "l": (int,),
+    "scree_l_max": (int,), "cutoff": _NUMBER, "thinning": (int, _NULL),
+    "smooth_K": (int,), "signal_variance": _NUMBER,
+}
+_SETTING_TYPES = {"p": (int,), "T": (int,), "sigma2": _NUMBER, "theta_ar": _NUMBER}
+
+
+def _spec_fields(obj, types: dict, required, where: str) -> dict:
+    """Keys of a JSON object that are present, numbers as floats; faults name the key."""
+    if not isinstance(obj, dict):
+        raise PanelFormatError(f"{where} must be a JSON object, got {obj!r}")
+    out = {}
+    for key, accepted in types.items():
+        if key not in obj:
+            if key in required:
+                raise PanelFormatError(f"{where}: missing key {key!r}")
+            continue
+        value = obj[key]
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            names = " or ".join("null" if t is _NULL else t.__name__ for t in accepted)
+            raise PanelFormatError(f"{where}: key {key!r} must be {names}, got {value!r}")
+        out[key] = float(value) if accepted is _NUMBER else value
+    return out
+
+
+def _read_spec(path):
+    """Parse and type-check a spec file; returns it and the SimulationSpec arguments."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except ValueError as exc:
+        raise PanelFormatError(f"{path}: not a JSON spec ({exc})") from None
+    fields = _spec_fields(raw, _SPEC_TYPES, ("dgp", "settings", "replications"), str(path))
+    fields["settings"] = [
+        SimSetting(**_spec_fields(s, _SETTING_TYPES, ("p", "T", "sigma2"),
+                                  f"{path}: settings[{i}]"))
+        for i, s in enumerate(fields["settings"])
     ]
-    spec = SimulationSpec(
-        dgp=raw["dgp"],
-        kind=raw.get("kind", "sse"),
-        settings=settings,
-        replications=int(raw["replications"]),
-        seed=int(seed),
-        methods=tuple(raw.get("methods", ["pca"])),
-        l_policy=raw.get("l_policy", "fixed"),
-        l_fixed=int(raw.get("l", 3)),
-        scree_l_max=int(raw.get("scree_l_max", 8)),
-        cutoff=float(raw.get("cutoff", 0.1)),
-        thinning=raw.get("thinning"),
-        smooth_K=int(raw.get("smooth_K", 21)),
-        signal_variance=float(raw.get("signal_variance", 25.0)),
-    )
-    summary = run_monte_carlo(spec, workers=args.workers)
+    if not all(isinstance(m, str) for m in fields.get("methods", ())):
+        raise PanelFormatError(f"{path}: key 'methods' must be a list of strings")
+    if "l" in fields:
+        fields["l_fixed"] = fields.pop("l")
+    fields.setdefault("kind", "sse")
+    return raw, fields
+
+
+def _cmd_simulate(args) -> int:
+    raw, fields = _read_spec(args.spec)
+    if fields.get("seed") is None:
+        fields["seed"] = secrets.randbits(63)
+    print(f"seed: {fields['seed']}")
+    summary = run_monte_carlo(SimulationSpec(**fields), workers=args.workers)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_summary_csv(summary, out / "summary.csv")
     _write_manifest(
         out, "simulate",
-        {"spec": raw, "seed": int(seed), "workers": args.workers},
+        {"spec": raw, "seed": fields["seed"], "workers": args.workers},
         {"spec_file": args.spec},
     )
     return 0

@@ -50,14 +50,6 @@ def periodogram(z, theta: float) -> float:
     return float(np.abs(np.sum(z * np.exp(-1j * k * theta))) ** 2 / z.size)
 
 
-def _periodogram_rows(values: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Periodograms of every row at every frequency, shape (T, f)."""
-    p = values.shape[1]
-    k = np.arange(1, p + 1)
-    phases = np.exp(-1j * np.outer(k, thetas))
-    return np.abs(values @ phases) ** 2 / p
-
-
 # ---------------------------------------------------------------------------
 # frequency selection
 
@@ -144,14 +136,26 @@ def auto_thinning(p: int, T: int, cutoff: float = 0.1, max_ratio: float = 0.3) -
     )
 
 
+def _selection(p: int, T: int, cutoff: float, thinning=None) -> FrequencySelection:
+    """:func:`select_frequencies`, with :func:`auto_thinning` when thinning is None."""
+    m = auto_thinning(p, T, cutoff) if thinning is None else thinning
+    return select_frequencies(p, cutoff, m)
+
+
 def averaged_periodogram(residuals, sel: FrequencySelection) -> np.ndarray:
-    """Row-averaged periodogram xi over the retained frequencies, length f."""
+    """Row-averaged periodogram xi over the retained frequencies, length f.
+
+    The retained thetas are Fourier frequencies 2*pi*l/p, so each row's
+    periodogram is |rfft(row)[l]|^2 / p; the FFT's k = 0..p-1 offset is a
+    unit-modulus phase and leaves the modulus of :func:`periodogram` as is.
+    """
     values = _as_values(residuals)
     if values.shape[1] != sel.p:
         raise DimensionError(
             f"panel has {values.shape[1]} columns but the selection is for p={sel.p}"
         )
-    return _periodogram_rows(values, sel.thetas).mean(axis=0)
+    coef = np.fft.rfft(values, axis=1)[:, sel.indices]
+    return (np.abs(coef) ** 2 / sel.p).mean(axis=0)
 
 
 # ---------------------------------------------------------------------------

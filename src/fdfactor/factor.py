@@ -26,8 +26,8 @@ import numpy as np
 
 from ._version import __version__
 from .errors import DimensionError, OrderError
-from .panel import MeanVector, ObservationPanel, SampleGrid, _readonly, load_panel
-from .spectral import apply_sign_convention, eigh_descending
+from .panel import MeanVector, ObservationPanel, SampleGrid, _readonly, _write_rows, load_panel
+from .spectral import _CenteredSpectrum, _centered_eigh
 
 #: relative eigengap below which a fit gets a degeneracy warning attached
 DEGENERATE_GAP = 1e-10
@@ -118,25 +118,17 @@ def fit(panel: ObservationPanel, L: int) -> FactorFit:
         raise OrderError(
             f"factor order must satisfy 1 <= L <= min(T-1, p) = {min(T - 1, p)}, got {L}"
         )
-    mu = panel.values.mean(axis=0)
-    Z = panel.values - mu
+    return _fit_spectrum(panel, _centered_eigh(panel.values), L)
+
+
+def _fit_spectrum(panel: ObservationPanel, spectrum: _CenteredSpectrum, L: int) -> FactorFit:
+    """:func:`fit` with the centered eigensystem of ``panel`` already computed."""
+    T = panel.T
+    vals, Z = spectrum.gram_eigenvalues, spectrum.centered
+    E = spectrum.leading_t_vectors(L)
 
     fit_warnings = []
-    if T <= p:
-        G = Z @ Z.T / T
-        G = (G + G.T) / 2.0
-        vals, vecs = eigh_descending(G)
-        E = vecs[:, :L]
-    else:
-        G = Z.T @ Z / T
-        G = (G + G.T) / 2.0
-        vals, vecs = eigh_descending(G)
-        # map right-singular directions to the T side; Householder QR both
-        # normalizes them and fills exact-null directions deterministically
-        E, _ = np.linalg.qr(Z @ vecs[:, :L])
-        E = apply_sign_convention(E)
-
-    n_avail = min(T, p)
+    n_avail = min(T, panel.p)
     if L < n_avail and vals[0] > 0 and (vals[L - 1] - vals[L]) < DEGENERATE_GAP * vals[0]:
         fit_warnings.append(
             f"eigengap between kept and dropped eigenvalues is below "
@@ -146,7 +138,7 @@ def fit(panel: ObservationPanel, L: int) -> FactorFit:
 
     F = np.sqrt(T) * E
     B = Z.T @ F / T
-    signals = mu + E @ (E.T @ Z)
+    signals = spectrum.mean + E @ (E.T @ Z)
     residuals = panel.values - signals
     return FactorFit(
         order=L,
@@ -156,7 +148,7 @@ def fit(panel: ObservationPanel, L: int) -> FactorFit:
         gram_eigenvalues=vals[:L],
         signals=signals,
         residuals=residuals,
-        mean=MeanVector(mu),
+        mean=MeanVector(spectrum.mean),
         grid=panel.grid,
         warnings=tuple(fit_warnings),
     )
@@ -175,12 +167,6 @@ def signal_panel(fit_result: FactorFit) -> ObservationPanel:
 # ---------------------------------------------------------------------------
 # fit artifact directory
 
-def _write_matrix(path: Path, a: np.ndarray) -> None:
-    with open(path, "w") as fh:
-        for row in np.atleast_2d(a):
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
-
-
 def save_fit(fit_result: FactorFit, out_dir) -> None:
     """Serialize a fit to a directory of CSV files plus fit.json.
 
@@ -190,18 +176,13 @@ def save_fit(fit_result: FactorFit, out_dir) -> None:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    grid_row = ",".join(repr(float(x)) for x in fit_result.grid.points)
-    for name, mat in (("signals", fit_result.signals), ("residuals", fit_result.residuals)):
-        with open(out / f"{name}.csv", "w") as fh:
-            fh.write(grid_row + "\n")
-            for row in mat:
-                fh.write(",".join(repr(float(x)) for x in row) + "\n")
-    with open(out / "muhat.csv", "w") as fh:
-        fh.write(grid_row + "\n")
-        fh.write(",".join(repr(float(x)) for x in fit_result.mean.values) + "\n")
-    _write_matrix(out / "loadings.csv", fit_result.loadings)
-    _write_matrix(out / "scores.csv", fit_result.scores)
-    _write_matrix(out / "eigenvalues.csv", fit_result.gram_eigenvalues.reshape(-1, 1))
+    grid = fit_result.grid.points
+    _write_rows(out / "signals.csv", fit_result.signals, grid)
+    _write_rows(out / "residuals.csv", fit_result.residuals, grid)
+    _write_rows(out / "muhat.csv", [fit_result.mean.values], grid)
+    _write_rows(out / "loadings.csv", fit_result.loadings)
+    _write_rows(out / "scores.csv", fit_result.scores)
+    _write_rows(out / "eigenvalues.csv", fit_result.gram_eigenvalues.reshape(-1, 1))
     meta = {
         "l": fit_result.order,
         "t": fit_result.T,

@@ -17,8 +17,9 @@ import numpy as np
 
 from .diagnostics import FrequencySelection, iid_noise_test
 from .errors import DimensionError, DomainError, OrderError
+from .factor import _fit_spectrum
 from .panel import ObservationPanel, _readonly
-from .spectral import EigenSystem, eigh_descending
+from .spectral import EigenSystem, _CenteredSpectrum, _centered_eigh
 
 _KINDS = ("eigenvalue", "test-statistic")
 
@@ -85,30 +86,21 @@ def lambda_scree(panel: ObservationPanel, l_max: int, sel: FrequencySelection) -
     peeling off one more eigendirection, which reproduces the per-l fits
     exactly.
     """
-    T, p = panel.T, panel.p
+    return _scree_spectrum(_centered_eigh(panel.values), l_max, sel)
+
+
+def _scree_spectrum(spectrum: _CenteredSpectrum, l_max: int, sel: FrequencySelection) -> ScreeCurve:
+    """:func:`lambda_scree` with the centered eigensystem already computed."""
+    T, p = spectrum.centered.shape
     if not 1 <= l_max <= min(T - 1, p):
         raise OrderError(
             f"l_max must lie in 1..min(T-1, p) = {min(T - 1, p)}, got {l_max}"
         )
-    Z = panel.values - panel.values.mean(axis=0)
-    if T <= p:
-        G = Z @ Z.T / T
-        _, vecs = eigh_descending((G + G.T) / 2.0)
-        resid = Z.copy()
-        stats = []
-        for l in range(1, l_max + 1):
-            e = vecs[:, l - 1]
-            resid = resid - np.outer(e, e @ resid)
-            stats.append(iid_noise_test(resid, sel).lambda_inf)
-    else:
-        G = Z.T @ Z / T
-        _, vecs = eigh_descending((G + G.T) / 2.0)
-        resid = Z.copy()
-        stats = []
-        for l in range(1, l_max + 1):
-            v = vecs[:, l - 1]
-            resid = resid - np.outer(resid @ v, v)
-            stats.append(iid_noise_test(resid, sel).lambda_inf)
+    resid = spectrum.centered.copy()
+    stats = []
+    for e in spectrum.leading_t_vectors(l_max).T:
+        resid -= np.outer(e, e @ resid)
+        stats.append(iid_noise_test(resid, sel).lambda_inf)
     return ScreeCurve(
         orders=np.arange(1, l_max + 1),
         values=np.asarray(stats),
@@ -147,6 +139,14 @@ def suggest_plateau_L(curve: ScreeCurve, rel_tol: float = 0.1) -> PlateauSuggest
         if np.all(steps[l - 1 : last] <= threshold):
             return PlateauSuggestion(l, True)
     return PlateauSuggestion(l_max, False)
+
+
+def plateau_fit(panel: ObservationPanel, l_max: int, sel: FrequencySelection) -> tuple:
+    """lambda_scree, suggest_plateau_L and fit at the suggested L, from one eigendecomposition."""
+    spectrum = _centered_eigh(panel.values)
+    curve = _scree_spectrum(spectrum, l_max, sel)
+    suggestion = suggest_plateau_L(curve)
+    return curve, suggestion, _fit_spectrum(panel, spectrum, suggestion.L)
 
 
 def annotate_suggestion(curve: ScreeCurve, rel_tol: float = 0.1) -> ScreeCurve:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import os
 from dataclasses import dataclass
 from typing import IO, Iterable, Union
@@ -149,11 +150,14 @@ def _iter_rows(source: Source) -> Iterable[list]:
             yield from csv.reader(fh)
 
 
-def _parse_row(cells, row_label):
+def _parse_row(cells, row_label, allow_missing: bool = False):
     out = np.empty(len(cells))
     for j, cell in enumerate(cells):
         token = cell.strip()
         if token.lower() in MISSING_TOKENS:
+            if allow_missing:
+                out[j] = np.nan
+                continue
             raise PanelFormatError(
                 f"missing value at row {row_label}, column {j + 1}; "
                 "run the 'impute' command first"
@@ -164,11 +168,33 @@ def _parse_row(cells, row_label):
             raise PanelFormatError(
                 f"could not parse {token!r} at row {row_label}, column {j + 1}"
             ) from None
-        if not np.isfinite(out[j]):
+        if not allow_missing and not np.isfinite(out[j]):
             raise PanelFormatError(
                 f"non-finite value at row {row_label}, column {j + 1}"
             )
     return out
+
+
+def _read_rows(source: Source, header: bool):
+    """Non-empty CSV rows of a table, with the parsed header row split off."""
+    rows = [r for r in _iter_rows(source) if r]
+    if not header:
+        return None, rows
+    if not rows:
+        raise DimensionError("empty input")
+    return _parse_row(rows[0], "1 (header)"), rows[1:]
+
+
+def _parse_rows(rows, allow_missing: bool) -> np.ndarray:
+    width = len(rows[0])
+    data = np.empty((len(rows), width))
+    for i, cells in enumerate(rows):
+        if len(cells) != width:
+            raise PanelFormatError(
+                f"row {i + 1} has {len(cells)} values, expected {width}"
+            )
+        data[i] = _parse_row(cells, i + 1, allow_missing)
+    return data
 
 
 def load_panel(source: Source, header: bool = False) -> ObservationPanel:
@@ -189,43 +215,37 @@ def load_panel(source: Source, header: bool = False) -> ObservationPanel:
     DimensionError
         Fewer than 2 rows or fewer than 2 columns.
     """
-    rows = [r for r in _iter_rows(source) if r]
-    grid = None
-    if header:
-        if not rows:
-            raise DimensionError("empty input")
-        grid = SampleGrid(_parse_row(rows[0], "1 (header)"))
-        rows = rows[1:]
-
+    grid_points, rows = _read_rows(source, header)
+    grid = SampleGrid(grid_points) if grid_points is not None else None
     if len(rows) < 2:
         raise DimensionError(f"a panel needs at least two curves, got {len(rows)}")
     width = len(rows[0])
     if width < 2:
         raise DimensionError(f"a panel needs at least two columns, got {width}")
-
-    data = np.empty((len(rows), width))
-    for i, cells in enumerate(rows):
-        if len(cells) != width:
-            raise PanelFormatError(
-                f"row {i + 1} has {len(cells)} values, expected {width}"
-            )
-        data[i] = _parse_row(cells, i + 1)
-
+    data = _parse_rows(rows, allow_missing=False)
     if grid is None:
         grid = SampleGrid.midpoints(width)
     return ObservationPanel(data, grid)
 
 
-def save_panel(panel: ObservationPanel, dest: Source, header: bool = True) -> None:
-    """Write a panel as CSV using shortest round-tripping float reprs.
+def _cell(x) -> str:
+    if x is None:
+        return ""
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    return str(x)
 
-    A save/load cycle reproduces every entry bit-identically.
+
+def _write_rows(dest: Source, rows, header=None) -> None:
+    """Write CSV lines: floats as shortest round-tripping reprs, None as empty.
+
+    Every float reads back bit-identically.  ``header``, when given, is
+    written as the first line.
     """
     def _write(fh):
-        if header:
-            fh.write(",".join(repr(float(x)) for x in panel.grid.points) + "\n")
-        for row in panel.values:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        for row in rows if header is None else itertools.chain([header], rows):
+            cells = map(repr, row.tolist()) if isinstance(row, np.ndarray) else map(_cell, row)
+            fh.write(",".join(cells) + "\n")
 
     if hasattr(dest, "write"):
         _write(dest)
@@ -234,39 +254,23 @@ def save_panel(panel: ObservationPanel, dest: Source, header: bool = True) -> No
             _write(fh)
 
 
+def save_panel(panel: ObservationPanel, dest: Source, header: bool = True) -> None:
+    """Write a panel as CSV using shortest round-tripping float reprs.
+
+    A save/load cycle reproduces every entry bit-identically.
+    """
+    _write_rows(dest, panel.values, panel.grid.points if header else None)
+
+
 def read_table_with_missing(source: Source, header: bool = False):
     """Read a table like :func:`load_panel` but keep missing cells as NaN.
 
     Returns ``(values, grid_points_or_None)``; used by the impute pre-pass.
     """
-    rows = [r for r in _iter_rows(source) if r]
-    grid_points = None
-    if header:
-        if not rows:
-            raise DimensionError("empty input")
-        grid_points = _parse_row(rows[0], "1 (header)")
-        rows = rows[1:]
+    grid_points, rows = _read_rows(source, header)
     if not rows:
         raise DimensionError("no data rows")
-    width = len(rows[0])
-    data = np.empty((len(rows), width))
-    for i, cells in enumerate(rows):
-        if len(cells) != width:
-            raise PanelFormatError(
-                f"row {i + 1} has {len(cells)} values, expected {width}"
-            )
-        for j, cell in enumerate(cells):
-            token = cell.strip()
-            if token.lower() in MISSING_TOKENS:
-                data[i, j] = np.nan
-            else:
-                try:
-                    data[i, j] = float(token)
-                except ValueError:
-                    raise PanelFormatError(
-                        f"could not parse {token!r} at row {i + 1}, column {j + 1}"
-                    ) from None
-    return data, grid_points
+    return _parse_rows(rows, allow_missing=True), grid_points
 
 
 def impute_missing(values: np.ndarray, grid: SampleGrid) -> np.ndarray:

@@ -19,16 +19,17 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .diagnostics import auto_thinning, iid_noise_test, select_frequencies
-from .errors import DimensionError, DomainError, NumericalError
+from .diagnostics import _selection, iid_noise_test
+from .errors import DimensionError, DomainError, NumericalError, OrderError, SelectionError
 from .factor import fit
-from .order import lambda_scree, suggest_plateau_L
-from .panel import ObservationPanel, SampleGrid
+from .order import plateau_fit
+from .panel import ObservationPanel, SampleGrid, _write_rows
 
 #: pinned random-number recipe, recorded in manifests so that
 #: reimplementations can document divergence
@@ -36,6 +37,9 @@ RNG_ALGORITHM = "numpy PCG64 + SeedSequence(seed, spawn_key=(setting, replicatio
 
 #: standard deviations of the three rough-signal scores
 ROUGH_SCORE_SCALES = (1.0, 0.5, 0.25)
+
+#: errors that count a replication as failed; any other exception propagates
+REPLICATION_ERRORS = (DimensionError, DomainError, NumericalError, OrderError, SelectionError)
 
 
 def _as_rng(seed_or_rng) -> np.random.Generator:
@@ -179,15 +183,23 @@ def coefficient_variances(K: int, signal_variance: float) -> np.ndarray:
 
     The rescaling uses a fixed 4001-point midpoint quadrature of
     sum_k v_k B_k(s)^2 over [0, 1], so it is deterministic and does not
-    depend on the evaluation grid of any particular study.
+    depend on the evaluation grid of any particular study.  The
+    quadrature runs once per K and is cached; every call returns a
+    fresh array.
     """
     decay = 2.0 ** (-np.arange(K) / 2.0)
     if signal_variance == 0.0:
         return np.zeros(K)
+    return signal_variance / _quadrature_variance(K) * decay
+
+
+@lru_cache(maxsize=16)
+def _quadrature_variance(K: int) -> float:
+    """Average over [0, 1] of sum_k 2^{-k/2} B_k(s)^2 by the fixed quadrature."""
+    decay = 2.0 ** (-np.arange(K) / 2.0)
     squad = (np.arange(4001) + 0.5) / 4001
     B = bspline_basis(K, squad)
-    avg_var = float(np.mean(B**2 @ decay))
-    return signal_variance / avg_var * decay
+    return float(np.mean(B**2 @ decay))
 
 
 def gen_spline_signals(cfg: SmoothDgpConfig, rng: Optional[np.random.Generator] = None) -> ObservationPanel:
@@ -209,17 +221,22 @@ def gen_ar1_noise(p: int, T: int, theta_ar: float, sigma: float, seed_or_rng=Non
     The first entry of each row is drawn from the stationary law
     N(0, sigma^2 / (1 - theta^2)) and the recursion
     u_j = theta u_{j-1} + sigma xi_j runs along the row.
+
+    All normals come from one (p, T) draw, in the order a column-by-column
+    loop draws them, so the output is bit-identical to that loop.
     """
     if not abs(theta_ar) < 1.0:
         raise DomainError(f"AR coefficient must satisfy |theta| < 1, got {theta_ar}")
     if sigma < 0:
         raise DomainError(f"innovation scale must be nonnegative, got {sigma}")
     rng = _as_rng(seed_or_rng)
-    U = np.empty((T, p))
-    U[:, 0] = rng.standard_normal(T) * (sigma / np.sqrt(1.0 - theta_ar**2))
-    for j in range(1, p):
-        U[:, j] = theta_ar * U[:, j - 1] + sigma * rng.standard_normal(T)
-    return U
+    W = rng.standard_normal((p, T))
+    W[0] *= sigma / np.sqrt(1.0 - theta_ar**2)
+    W[1:] *= sigma
+    if theta_ar != 0.0:
+        for j in range(1, p):
+            W[j] += theta_ar * W[j - 1]
+    return W.T.copy()
 
 
 def add_noise(signals: ObservationPanel, noise) -> ObservationPanel:
@@ -244,20 +261,31 @@ def sse_appr(truth, estimate) -> float:
 def bspline_ls_fit(panel: ObservationPanel, K: int) -> ObservationPanel:
     """Per-curve least-squares projection onto K cubic B-splines.
 
-    The classic smoothing baseline: normal equations solved with a
-    Cholesky factorization of the (symmetric positive definite) design
-    Gram matrix.
+    The classic smoothing baseline.  The design B and the projector
+    P = (B'B)^{-1} B', from a Cholesky factorization of the (symmetric
+    positive definite) design Gram matrix, depend only on K and the grid;
+    they are computed once per (K, grid) pair, kept read-only in a small
+    cache, and each call applies B (P Y').
     """
     if K > panel.p:
         raise DimensionError(f"K = {K} exceeds the number of grid points {panel.p}")
-    B = bspline_basis(K, panel.grid.points)
+    B, P = _spline_projector(K, panel.grid.points.tobytes())
+    return ObservationPanel((B @ (P @ panel.values.T)).T, panel.grid)
+
+
+@lru_cache(maxsize=16)
+def _spline_projector(K: int, grid_bytes: bytes):
+    """Read-only design B (p, K) and projector (B'B)^{-1} B' (K, p) on a grid."""
+    B = bspline_basis(K, np.frombuffer(grid_bytes))
     G = B.T @ B
     try:
         factor = cho_factor((G + G.T) / 2.0)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"rank-deficient spline design (K={K}, p={panel.p}): {exc}") from exc
-    coef = cho_solve(factor, B.T @ panel.values.T)
-    return ObservationPanel((B @ coef).T, panel.grid)
+        raise NumericalError(f"rank-deficient spline design (K={K}, p={B.shape[0]}): {exc}") from exc
+    P = cho_solve(factor, B.T)
+    B.setflags(write=False)
+    P.setflags(write=False)
+    return B, P
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +337,8 @@ class SimulationSpec:
             raise DomainError(f"unknown methods {sorted(unknown)}")
         if self.replications < 1:
             raise DomainError("replications must be >= 1")
+        if self.seed < 0:
+            raise DomainError(f"seed must be nonnegative, got {self.seed}")
         object.__setattr__(self, "settings", tuple(self.settings))
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "levels", tuple(self.levels))
@@ -369,34 +399,24 @@ def _generate_panel(spec: SimulationSpec, setting: SimSetting, rng):
     return signals, add_noise(signals, noise)
 
 
-def _selection_for(spec: SimulationSpec, setting: SimSetting):
-    m = spec.thinning
-    if m is None:
-        m = auto_thinning(setting.p, setting.T, spec.cutoff)
-    return select_frequencies(setting.p, spec.cutoff, m)
-
-
 def _run_sse_rep(spec, si, setting, ri):
     rng = replication_rng(spec.seed, si, ri)
     signals, observed = _generate_panel(spec, setting, rng)
     out = {}
     for method in spec.methods:
         try:
-            if method == "pca":
-                if spec.l_policy == "fixed":
-                    L = spec.l_fixed
-                else:
-                    sel = _selection_for(spec, setting)
-                    l_max = min(spec.scree_l_max, min(setting.T - 1, setting.p))
-                    curve = lambda_scree(observed, l_max, sel)
-                    L = suggest_plateau_L(curve).L
-                estimate = fit(observed, L).signals
-                out[method] = (sse_appr(signals, estimate), float(L))
-            else:
+            if method == "bspline":
                 K = max(4, setting.p // 3)
-                estimate = bspline_ls_fit(observed, K)
-                out[method] = (sse_appr(signals, estimate), float(K))
-        except Exception:
+                out[method] = (sse_appr(signals, bspline_ls_fit(observed, K)), float(K))
+            elif spec.l_policy == "fixed":
+                L = spec.l_fixed
+                out[method] = (sse_appr(signals, fit(observed, L).signals), float(L))
+            else:
+                sel = _selection(setting.p, setting.T, spec.cutoff, spec.thinning)
+                l_max = min(spec.scree_l_max, min(setting.T - 1, setting.p))
+                _, suggestion, result = plateau_fit(observed, l_max, sel)
+                out[method] = (sse_appr(signals, result.signals), float(suggestion.L))
+        except REPLICATION_ERRORS:
             out[method] = None
     return out
 
@@ -404,11 +424,11 @@ def _run_sse_rep(spec, si, setting, ri):
 def _run_test_rep(spec, si, setting, ri):
     rng = replication_rng(spec.seed, si, ri)
     noise = gen_ar1_noise(setting.p, setting.T, setting.theta_ar, float(np.sqrt(setting.sigma2)), rng)
-    sel = _selection_for(spec, setting)
+    sel = _selection(setting.p, setting.T, spec.cutoff, spec.thinning)
     try:
         rep = iid_noise_test(noise, sel)
         return (rep.lambda_fin, rep.lambda_inf, rep.p_fin, rep.p_inf)
-    except Exception:
+    except REPLICATION_ERRORS:
         return None
 
 
@@ -417,27 +437,20 @@ def run_monte_carlo(spec: SimulationSpec, workers: Optional[int] = None) -> Simu
 
     Each (setting, replication) pair draws from its own derived stream
     and results are aggregated in replication order, so thread count and
-    scheduling cannot affect the output.  Failed replications are counted
-    and excluded, never silently dropped.
+    scheduling cannot affect the output.  A replication that raises one of
+    ``REPLICATION_ERRORS`` is counted as failed and excluded, never
+    silently dropped; any other exception propagates.
     """
     workers = _resolve_workers(workers)
     runner = _run_sse_rep if spec.kind == "sse" else _run_test_rep
     R = spec.replications
 
     per_setting = []
-    for si, setting in enumerate(spec.settings):
-        cells = [None] * R
-
-        def one(ri, _si=si, _setting=setting):
-            cells[ri] = runner(spec, _si, _setting, ri)
-
-        if workers == 1:
-            for ri in range(R):
-                one(ri)
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                list(ex.map(one, range(R)))
-        per_setting.append(cells)
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        for si, setting in enumerate(spec.settings):
+            run = partial(runner, spec, si, setting)
+            cells = map(run, range(R)) if workers == 1 else ex.map(run, range(R))
+            per_setting.append(list(cells))
 
     results = []
     for setting, cells in zip(spec.settings, per_setting):
@@ -448,8 +461,7 @@ def run_monte_carlo(spec: SimulationSpec, workers: Optional[int] = None) -> Simu
         )
         if spec.kind == "sse":
             for method in spec.methods:
-                picks = [c[method] for c in cells]
-                good = [v for v in picks if v is not None]
+                good = [c[method] for c in cells if c[method] is not None]
                 failures = R - len(good)
                 sse = np.array([v[0] for v in good])
                 ls = np.array([v[1] for v in good])
@@ -485,14 +497,6 @@ SUMMARY_COLUMNS = (
 )
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
-
-
 def summary_rows(summary: SimulationSummary):
     """Flatten a summary into CSV rows following ``SUMMARY_COLUMNS``."""
     rows = []
@@ -510,7 +514,4 @@ def summary_rows(summary: SimulationSummary):
 
 
 def write_summary_csv(summary: SimulationSummary, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(SUMMARY_COLUMNS) + "\n")
-        for row in summary_rows(summary):
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+    _write_rows(path, summary_rows(summary), SUMMARY_COLUMNS)

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionError, NumericalError, OrderError
-from .panel import ObservationPanel, SampleGrid, _readonly
+from .panel import ObservationPanel, SampleGrid, _readonly, _write_rows
 
 
 def eigh_descending(matrix: np.ndarray):
@@ -48,6 +49,35 @@ def apply_sign_convention(vecs: np.ndarray) -> np.ndarray:
     signs = np.sign(vecs[lead, np.arange(vecs.shape[1])])
     signs[signs == 0] = 1.0
     return vecs * signs
+
+
+class _CenteredSpectrum(NamedTuple):
+    """A column-centered panel Z and the eigensystem of its smaller Gram matrix."""
+
+    mean: np.ndarray
+    centered: np.ndarray
+    gram_eigenvalues: np.ndarray
+    eigvecs: np.ndarray
+
+    def leading_t_vectors(self, k: int) -> np.ndarray:
+        """Orthonormal eigenvectors of (1/T) ZZ' for the k leading eigenvalues, (T, k)."""
+        T, p = self.centered.shape
+        if T <= p:
+            return self.eigvecs[:, :k]
+        # map right-singular directions to the T side; Householder QR both
+        # normalizes them and fills exact-null directions deterministically
+        E, _ = np.linalg.qr(self.centered @ self.eigvecs[:, :k])
+        return apply_sign_convention(E)
+
+
+def _centered_eigh(values: np.ndarray) -> _CenteredSpectrum:
+    """Center the columns and eigendecompose (1/T) ZZ' or (1/T) Z'Z, whichever is smaller."""
+    T, p = values.shape
+    mu = values.mean(axis=0)
+    Z = values - mu
+    G = Z @ Z.T / T if T <= p else Z.T @ Z / T
+    vals, vecs = eigh_descending((G + G.T) / 2.0)
+    return _CenteredSpectrum(mu, Z, vals, vecs)
 
 
 @dataclass(frozen=True)
@@ -179,10 +209,7 @@ def l2_norm(f: StepFunction) -> float:
 
 def export_eigensystem_csv(system: EigenSystem, path) -> None:
     """Write eigenvectors as columns under a header row of Gram eigenvalues."""
-    with open(path, "w") as fh:
-        fh.write(",".join(repr(float(v)) for v in system.gram_eigenvalues) + "\n")
-        for row in system.eigvecs:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+    _write_rows(path, system.eigvecs, system.gram_eigenvalues)
 
 
 def align_sign(f: StepFunction, reference: StepFunction) -> StepFunction:

@@ -1,6 +1,8 @@
+import csv
 import json
 
 import numpy as np
+import pytest
 
 from fdfactor import (
     RoughDgpConfig,
@@ -239,6 +241,79 @@ class TestSimulateCommand:
         line = capsys.readouterr().out.splitlines()[0]
         assert line.startswith("seed: ")
         int(line.split(":")[1])
+
+
+class TestSimulateSpecValidation:
+    BASE = {
+        "dgp": "rough", "kind": "sse",
+        "settings": [{"p": 20, "T": 40, "sigma2": 0.05}],
+        "replications": 2, "seed": 1,
+    }
+
+    def run(self, tmp_path, capsys, text):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        code = main(["simulate", "--spec", str(path), "--out", str(tmp_path / "sim")])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return code, err, str(path)
+
+    def test_base_spec_runs(self, tmp_path, capsys):
+        assert self.run(tmp_path, capsys, json.dumps(self.BASE))[0] == 0
+
+    def test_missing_optional_keys_take_the_defaults(self, tmp_path, capsys):
+        minimal = {k: v for k, v in self.BASE.items() if k != "kind"}
+        assert self.run(tmp_path, capsys, json.dumps(minimal))[0] == 0
+        with open(tmp_path / "sim" / "summary.csv") as fh:
+            row = next(csv.DictReader(fh))
+        assert (row["kind"], row["method"], row["l_policy"], row["l_median"]) == \
+            ("sse", "pca", "fixed", "3.0")
+
+    @pytest.mark.parametrize("text", ["{not json", "", "\x00\xff"])
+    def test_not_json_exits_2(self, tmp_path, capsys, text):
+        code, err, path = self.run(tmp_path, capsys, text)
+        assert code == 2 and path in err and "JSON" in err
+
+    @pytest.mark.parametrize("spec", ["[1, 2]", "3", '"rough"'])
+    def test_non_object_exits_2(self, tmp_path, capsys, spec):
+        code, err, path = self.run(tmp_path, capsys, spec)
+        assert code == 2 and path in err and "JSON object" in err
+
+    @pytest.mark.parametrize("key", ["settings", "dgp", "replications"])
+    def test_missing_required_key_exits_2(self, tmp_path, capsys, key):
+        spec = {k: v for k, v in self.BASE.items() if k != key}
+        code, err, path = self.run(tmp_path, capsys, json.dumps(spec))
+        assert code == 2 and path in err and repr(key) in err
+
+    @pytest.mark.parametrize("key", ["p", "T", "sigma2"])
+    def test_missing_setting_key_exits_2(self, tmp_path, capsys, key):
+        setting = {k: v for k, v in self.BASE["settings"][0].items() if k != key}
+        code, err, path = self.run(tmp_path, capsys,
+                                   json.dumps({**self.BASE, "settings": [setting]}))
+        assert code == 2 and path in err and "settings[0]" in err and repr(key) in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("replications", "ten"), ("replications", 2.5), ("seed", "x"), ("seed", True),
+        ("settings", {"p": 20}), ("settings", [7]), ("dgp", 3), ("methods", "pca"),
+        ("methods", [["pca"]]), ("cutoff", "0.1"), ("thinning", "3"), ("l", 2.0),
+        ("scree_l_max", None), ("smooth_K", "21"), ("signal_variance", [25]),
+    ])
+    def test_wrongly_typed_field_exits_2(self, tmp_path, capsys, key, value):
+        code, err, path = self.run(tmp_path, capsys, json.dumps({**self.BASE, key: value}))
+        assert code == 2 and path in err
+        assert repr(key) in err or "settings[0]" in err
+
+    @pytest.mark.parametrize("key, value", [("p", "20"), ("T", 40.5), ("sigma2", None),
+                                            ("theta_ar", "0.2")])
+    def test_wrongly_typed_setting_exits_2(self, tmp_path, capsys, key, value):
+        setting = {**self.BASE["settings"][0], key: value}
+        code, err, path = self.run(tmp_path, capsys,
+                                   json.dumps({**self.BASE, "settings": [setting]}))
+        assert code == 2 and path in err and "settings[0]" in err and repr(key) in err
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        code, err, _ = self.run(tmp_path, capsys, json.dumps({**self.BASE, "seed": -1}))
+        assert code == 2 and "seed" in err
 
 
 class TestImputeCommand:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from fdfactor import (
@@ -145,6 +145,28 @@ class TestAveragedPeriodogram:
         sel = select_frequencies(10, 0.0, 1)
         with pytest.raises(DimensionError):
             averaged_periodogram(make_panel(np.zeros((3, 8))), sel)
+
+    @given(
+        st.integers(3, 200),
+        st.booleans(),
+        st.sampled_from([0.0, 0.1, 0.25, 0.5]),
+        st.integers(1, 6),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_fft_matches_scalar_oracle_at_every_retained_index(
+        self, half, odd, cutoff, thinning, seed
+    ):
+        p = 2 * half + odd
+        try:
+            sel = select_frequencies(p, cutoff, thinning)
+        except SelectionError:
+            assume(False)
+        values = np.random.default_rng(seed).standard_normal((5, p))
+        xi = averaged_periodogram(make_panel(values), sel)
+        # 2*pi*l/p can round one ulp above pi at the Nyquist index l = p/2
+        thetas = np.minimum(sel.thetas, np.pi)
+        oracle = [np.mean([periodogram(row, th) for row in values]) for th in thetas]
+        assert xi == pytest.approx(oracle, rel=1e-10)
 
 
 class TestGasserVariance:

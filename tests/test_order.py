@@ -18,6 +18,7 @@ from fdfactor import (
     gen_rough_signals,
     gen_spline_signals,
     lambda_scree,
+    plateau_fit,
     select_frequencies,
     suggest_plateau_L,
 )
@@ -171,6 +172,27 @@ class TestPlateauRule:
         suggestion = suggest_plateau_L(stat_curve([90.0, 40.0, -0.2, 0.1, -0.1, 0.0]))
         assert suggestion.plateau_found
         assert suggestion.L == 3
+
+
+class TestPlateauFit:
+    @pytest.mark.parametrize("p, T", [(40, 30), (20, 60)])
+    def test_matches_scree_then_rule_then_fit(self, p, T):
+        panel = rough_observation(p, T, 0.05, np.random.default_rng(p * T))
+        sel = select_frequencies(p, 0.1, 1)
+        curve, suggestion, result = plateau_fit(panel, 6, sel)
+        separate = lambda_scree(panel, 6, sel)
+        assert np.array_equal(curve.values, separate.values)
+        assert suggestion == suggest_plateau_L(separate)
+        reference = fit(panel, suggestion.L)
+        for name in ("eigvecs", "scores", "loadings", "gram_eigenvalues", "signals",
+                     "residuals"):
+            assert np.array_equal(getattr(result, name), getattr(reference, name)), name
+        assert result.warnings == reference.warnings
+
+    def test_order_bound(self):
+        panel = make_panel(np.random.default_rng(5).standard_normal((10, 8)))
+        with pytest.raises(OrderError):
+            plateau_fit(panel, 9, select_frequencies(8, 0.0, 1))
 
 
 class TestAnnotateSuggestion:

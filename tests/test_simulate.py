@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy.interpolate import BSpline
@@ -5,22 +7,45 @@ from scipy.interpolate import BSpline
 from fdfactor import (
     DimensionError,
     DomainError,
+    NumericalError,
+    ObservationPanel,
     RoughDgpConfig,
+    SampleGrid,
     SimSetting,
     SimulationSpec,
     SmoothDgpConfig,
     add_noise,
+    auto_thinning,
     bspline_basis,
     bspline_ls_fit,
     fit,
     gen_ar1_noise,
     gen_rough_signals,
     gen_spline_signals,
+    lambda_scree,
     rough_components,
     run_monte_carlo,
+    select_frequencies,
     sse_appr,
+    suggest_plateau_L,
 )
-from fdfactor.simulate import coefficient_variances, summary_rows
+from fdfactor.simulate import (
+    _generate_panel,
+    _quadrature_variance,
+    _spline_projector,
+    coefficient_variances,
+    replication_rng,
+    summary_rows,
+)
+
+
+def ar1_column_loop(p, T, theta_ar, sigma, rng):
+    """Column-by-column AR(1) recursion, drawing T innovations per column."""
+    U = np.empty((T, p))
+    U[:, 0] = rng.standard_normal(T) * (sigma / np.sqrt(1.0 - theta_ar**2))
+    for j in range(1, p):
+        U[:, j] = theta_ar * U[:, j - 1] + sigma * rng.standard_normal(T)
+    return U
 
 
 class TestRoughComponents:
@@ -131,6 +156,11 @@ class TestSmoothDgp:
         ratios = v[1:] / v[:-1]
         assert np.allclose(ratios, 2 ** (-0.5), atol=1e-12)
 
+    def test_coefficient_variances_return_fresh_arrays(self):
+        first = coefficient_variances(21, 25.0).copy()
+        coefficient_variances(21, 25.0)[:] = -1.0
+        assert np.array_equal(coefficient_variances(21, 25.0), first)
+
     def test_config_validation(self):
         with pytest.raises(DomainError):
             SmoothDgpConfig(p=24, T=10, sigma=1.0, theta_ar=1.0)
@@ -156,6 +186,14 @@ class TestAr1Noise:
         theta = 0.8
         U = gen_ar1_noise(1000, 1000, theta, 1.0, rng)
         assert np.var(U) == pytest.approx(1.0 / (1 - theta**2), rel=0.03)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.4, 0.8])
+    def test_bit_identical_to_column_loop(self, theta):
+        for p, T in ((365, 200), (7, 3), (2, 50)):
+            rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
+            assert np.array_equal(gen_ar1_noise(p, T, theta, 1.5, rng_a),
+                                  ar1_column_loop(p, T, theta, 1.5, rng_b))
+            assert rng_a.standard_normal() == rng_b.standard_normal()
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -205,6 +243,23 @@ class TestBsplineBaseline:
         )
         fitted = bspline_ls_fit(panel, 8)
         assert np.max(np.abs(fitted.values - panel.values)) < 1e-10
+
+    def test_projector_is_cached_and_read_only(self):
+        key = SampleGrid.midpoints(40).points.tobytes()
+        B, P = _spline_projector(10, key)
+        assert not B.flags.writeable and not P.flags.writeable
+        with pytest.raises(ValueError):
+            P[0, 0] = 1.0
+        assert _spline_projector(10, key)[1] is P
+        assert np.allclose(P @ B, np.eye(10), atol=1e-10)
+
+    def test_rank_deficient_design_raises_on_every_call(self):
+        # every grid point lies left of the first inner knot (0.2), so only
+        # four of the eight basis functions are nonzero on the grid
+        panel = ObservationPanel(np.ones((3, 10)), SampleGrid(np.linspace(0.01, 0.19, 10)))
+        for _ in range(2):
+            with pytest.raises(NumericalError):
+                bspline_ls_fit(panel, 8)
 
     def test_k_bound(self):
         cfg = SmoothDgpConfig(p=6, T=5, sigma=0.0, K=8, seed=12)
@@ -267,6 +322,58 @@ class TestMonteCarloHarness:
         row = summary.results[0]
         assert row.failures == 5
         assert row.sse_median is None
+
+    @pytest.mark.parametrize("kind, target", [("sse", "fit"), ("noise-test", "iid_noise_test")])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bugs_propagate_instead_of_counting_as_failures(
+        self, monkeypatch, kind, target, workers
+    ):
+        import fdfactor.simulate as simulate
+
+        def broken(*args, **kwargs):
+            raise TypeError("a bug, not a failed replication")
+
+        monkeypatch.setattr(simulate, target, broken)
+        spec = self.spec(kind=kind, settings=[SimSetting(p=20, T=30, sigma2=0.1)])
+        with pytest.raises(TypeError):
+            run_monte_carlo(spec, workers=workers)
+
+    def test_shared_caches_under_many_threads(self):
+        spec = self.spec(
+            dgp="smooth", settings=[SimSetting(p=40, T=30, sigma2=0.1, theta_ar=0.3)],
+            methods=("pca", "bspline"), l_policy="plateau", scree_l_max=6,
+            replications=12, smooth_K=8,
+        )
+        expected = summary_rows(run_monte_carlo(spec, workers=1))
+        assert [row[9] for row in expected] == [0, 0]  # no failed replications
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for _ in range(3):
+                _spline_projector.cache_clear()
+                _quadrature_variance.cache_clear()
+                assert summary_rows(run_monte_carlo(spec, workers=8)) == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("p, T", [(30, 20), (20, 60)])
+    def test_plateau_path_matches_separate_scree_and_fit(self, p, T):
+        setting = SimSetting(p=p, T=T, sigma2=0.05)
+        spec = self.spec(settings=[setting], l_policy="plateau", scree_l_max=6,
+                         replications=4)
+        row = run_monte_carlo(spec).results[0]
+        sse, ls = [], []
+        for ri in range(spec.replications):
+            signals, observed = _generate_panel(spec, setting, replication_rng(spec.seed, 0, ri))
+            sel = select_frequencies(p, spec.cutoff, auto_thinning(p, T, spec.cutoff))
+            curve = lambda_scree(observed, min(6, T - 1, p), sel)
+            L = suggest_plateau_L(curve).L
+            sse.append(sse_appr(signals, fit(observed, L).signals))
+            ls.append(float(L))
+        assert row.failures == 0
+        assert row.sse_median == float(np.median(sse))
+        assert row.sse_mean == float(np.mean(sse))
+        assert row.l_median == float(np.median(ls))
 
     def test_sse_decreases_with_sample_size(self):
         spec = self.spec(
