@@ -43,6 +43,7 @@ from .order import classic_scree, lambda_scree, plateau_fit, suggest_plateau_L
 from .panel import (
     ObservationPanel,
     SampleGrid,
+    _write_json,
     _write_rows,
     impute_missing,
     load_panel,
@@ -87,10 +88,7 @@ def _write_manifest(out_dir: Path, command: str, params: dict, inputs: dict) -> 
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "schema": 1,
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "manifest.json", manifest)
 
 
 def _load_residuals(args):
@@ -168,9 +166,7 @@ def _cmd_test(args) -> int:
     if args.out is not None:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "report.json", "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(out / "report.json", payload)
         _write_xi(out / "xi.csv", sel, report.xi)
         _write_manifest(
             out, "test",
@@ -235,8 +231,8 @@ def _cmd_diagnose(args) -> int:
         lo, hi = _parse_window(args.cols, residuals.p)
         cov = cov[lo:hi, lo:hi]
         corr = corr[lo:hi, lo:hi]
-    np.savetxt(out / "covariance.csv", cov, delimiter=",")
-    np.savetxt(out / "correlation.csv", corr, delimiter=",")
+    _write_rows(out / "covariance.csv", cov)
+    _write_rows(out / "correlation.csv", corr)
 
     sel = _selection(residuals.p, residuals.T, args.cutoff, args.thin)
     _write_xi(out / "xi.csv", sel, averaged_periodogram(residuals, sel))
@@ -396,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--spec", required=True)
     p_sim.add_argument("--out", required=True)
     p_sim.add_argument("--workers", type=int, default=None,
-                       help="replication workers (default: FDFACTOR_WORKERS or 1)")
+                       help="replication workers (default 1)")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_imp = sub.add_parser("impute", help="fill missing cells by in-row linear interpolation")

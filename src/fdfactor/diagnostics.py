@@ -229,14 +229,15 @@ def iid_noise_test(residuals, sel: FrequencySelection, sigma2: float | None = No
     ------
     DegenerateVarianceError
         When the noise variance is estimated (or given) as <= 0, e.g.
-        for an all-zero residual panel after a saturated fit.
+        for an all-zero residual panel after a saturated fit, or when its
+        square under- or overflows the float range.
     """
     values = _as_values(residuals)
     T = values.shape[0]
     xi = averaged_periodogram(values, sel)
     if sigma2 is None:
         sigma2 = gasser_variance(values)
-    if not sigma2 > 0.0:
+    if not (sigma2 > 0.0 and 0.0 < sigma2 * sigma2 < np.inf):
         raise DegenerateVarianceError(
             f"noise variance is {sigma2}; residuals are degenerate"
         )

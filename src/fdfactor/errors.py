@@ -33,4 +33,4 @@ class NumericalError(RuntimeError):
 
 
 class DegenerateVarianceError(NumericalError):
-    """Raised when an estimated noise variance is zero or negative."""
+    """Raised when a noise variance is not positive, or its square under- or overflows."""

@@ -18,7 +18,6 @@ ambiguity of factor models never enters.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,7 +25,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import DimensionError, OrderError
-from .panel import MeanVector, ObservationPanel, SampleGrid, _readonly, _write_rows, load_panel
+from .panel import MeanVector, ObservationPanel, SampleGrid, _readonly, _write_json, _write_rows, load_panel
 from .spectral import _CenteredSpectrum, _centered_eigh
 
 #: relative eigengap below which a fit gets a degeneracy warning attached
@@ -125,7 +124,7 @@ def _fit_spectrum(panel: ObservationPanel, spectrum: _CenteredSpectrum, L: int) 
     """:func:`fit` with the centered eigensystem of ``panel`` already computed."""
     T = panel.T
     vals, Z = spectrum.gram_eigenvalues, spectrum.centered
-    E = spectrum.leading_t_vectors(L)
+    E = spectrum.leading_vectors(L, "t")
 
     fit_warnings = []
     n_avail = min(T, panel.p)
@@ -191,9 +190,7 @@ def save_fit(fit_result: FactorFit, out_dir) -> None:
         "version": __version__,
         "warnings": list(fit_result.warnings),
     }
-    with open(out / "fit.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "fit.json", meta)
 
 
 def load_fit_residuals(fit_dir) -> ObservationPanel:

@@ -98,7 +98,7 @@ def _scree_spectrum(spectrum: _CenteredSpectrum, l_max: int, sel: FrequencySelec
         )
     resid = spectrum.centered.copy()
     stats = []
-    for e in spectrum.leading_t_vectors(l_max).T:
+    for e in spectrum.leading_vectors(l_max, "t").T:
         resid -= np.outer(e, e @ resid)
         stats.append(iid_noise_test(resid, sel).lambda_inf)
     return ScreeCurve(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import itertools
+import json
 import os
 from dataclasses import dataclass
 from typing import IO, Iterable, Union
@@ -252,6 +253,13 @@ def _write_rows(dest: Source, rows, header=None) -> None:
     else:
         with open(dest, "w", newline="") as fh:
             _write(fh)
+
+
+def _write_json(path, obj) -> None:
+    """Write ``obj`` as JSON with sorted keys, two-space indent and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def save_panel(panel: ObservationPanel, dest: Source, header: bool = True) -> None:

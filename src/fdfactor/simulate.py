@@ -16,14 +16,12 @@ so results are reproducible bit for bit regardless of scheduling.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .diagnostics import _selection, iid_noise_test
 from .errors import DimensionError, DomainError, NumericalError, OrderError, SelectionError
@@ -37,6 +35,9 @@ RNG_ALGORITHM = "numpy PCG64 + SeedSequence(seed, spawn_key=(setting, replicatio
 
 #: standard deviations of the three rough-signal scores
 ROUGH_SCORE_SCALES = (1.0, 0.5, 0.25)
+
+#: test levels of the rejection-rate columns of ``summary.csv``
+_LEVELS = (0.01, 0.05, 0.10)
 
 #: errors that count a replication as failed; any other exception propagates
 REPLICATION_ERRORS = (DimensionError, DomainError, NumericalError, OrderError, SelectionError)
@@ -262,10 +263,10 @@ def bspline_ls_fit(panel: ObservationPanel, K: int) -> ObservationPanel:
     """Per-curve least-squares projection onto K cubic B-splines.
 
     The classic smoothing baseline.  The design B and the projector
-    P = (B'B)^{-1} B', from a Cholesky factorization of the (symmetric
-    positive definite) design Gram matrix, depend only on K and the grid;
-    they are computed once per (K, grid) pair, kept read-only in a small
-    cache, and each call applies B (P Y').
+    P = (B'B)^{-1} B', from two triangular solves with the numpy.linalg
+    Cholesky factor of B'B, depend only on K and the grid; they are cached
+    read-only per (K, grid) pair, and each call applies B (P Y').  A
+    rank-deficient design raises NumericalError on every call.
     """
     if K > panel.p:
         raise DimensionError(f"K = {K} exceeds the number of grid points {panel.p}")
@@ -279,10 +280,10 @@ def _spline_projector(K: int, grid_bytes: bytes):
     B = bspline_basis(K, np.frombuffer(grid_bytes))
     G = B.T @ B
     try:
-        factor = cho_factor((G + G.T) / 2.0)
+        C = np.linalg.cholesky((G + G.T) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"rank-deficient spline design (K={K}, p={B.shape[0]}): {exc}") from exc
-    P = cho_solve(factor, B.T)
+    P = np.linalg.solve(C.T, np.linalg.solve(C, B.T))
     B.setflags(write=False)
     P.setflags(write=False)
     return B, P
@@ -299,6 +300,12 @@ class SimSetting:
     T: int
     sigma2: float
     theta_ar: float = 0.0
+
+    def __post_init__(self):
+        if self.p < 2 or self.T < 2:
+            raise DimensionError(f"a setting needs p >= 2 and T >= 2, got p={self.p}, T={self.T}")
+        if not (np.isfinite(self.sigma2) and self.sigma2 >= 0):
+            raise DomainError(f"sigma2 must be finite and nonnegative, got {self.sigma2}")
 
 
 @dataclass(frozen=True)
@@ -321,7 +328,7 @@ class SimulationSpec:
     scree_l_max: int = 8
     cutoff: float = 0.1
     thinning: Optional[int] = None            # None -> smallest m with f/T <= 0.3
-    levels: Sequence[float] = (0.01, 0.05, 0.10)
+    levels: Sequence[float] = _LEVELS
     smooth_K: int = 21
     signal_variance: float = 25.0
 
@@ -339,6 +346,8 @@ class SimulationSpec:
             raise DomainError("replications must be >= 1")
         if self.seed < 0:
             raise DomainError(f"seed must be nonnegative, got {self.seed}")
+        if tuple(self.levels) != _LEVELS:
+            raise DomainError(f"levels must be {_LEVELS}, got {tuple(self.levels)}")
         object.__setattr__(self, "settings", tuple(self.settings))
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "levels", tuple(self.levels))
@@ -372,16 +381,6 @@ class SimulationSummary:
     spec: SimulationSpec
     results: tuple
     rng_algorithm: str = RNG_ALGORITHM
-
-
-def _resolve_workers(workers: Optional[int]) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get("FDFACTOR_WORKERS", "1")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
 
 
 def _generate_panel(spec: SimulationSpec, setting: SimSetting, rng):
@@ -441,7 +440,7 @@ def run_monte_carlo(spec: SimulationSpec, workers: Optional[int] = None) -> Simu
     ``REPLICATION_ERRORS`` is counted as failed and excluded, never
     silently dropped; any other exception propagates.
     """
-    workers = _resolve_workers(workers)
+    workers = max(1, workers or 1)
     runner = _run_sse_rep if spec.kind == "sse" else _run_test_rep
     R = spec.replications
 
@@ -506,8 +505,7 @@ def summary_rows(summary: SimulationSummary):
         rows.append([
             r.dgp, r.kind, r.p, r.T, r.sigma2, r.theta_ar, r.method, r.l_policy,
             r.replications, r.failures, r.l_median, r.sse_median, r.sse_mean,
-            rf.get(0.01), rf.get(0.05), rf.get(0.10),
-            ri.get(0.01), ri.get(0.05), ri.get(0.10),
+            *map(rf.get, _LEVELS), *map(ri.get, _LEVELS),
             r.lambda_fin_median, r.lambda_inf_median,
         ])
     return rows

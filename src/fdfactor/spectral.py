@@ -52,28 +52,31 @@ def apply_sign_convention(vecs: np.ndarray) -> np.ndarray:
 
 
 class _CenteredSpectrum(NamedTuple):
-    """A column-centered panel Z and the eigensystem of its smaller Gram matrix."""
+    """A (column-centered) panel Z and the eigensystem of its smaller Gram matrix."""
 
     mean: np.ndarray
     centered: np.ndarray
     gram_eigenvalues: np.ndarray
     eigvecs: np.ndarray
 
-    def leading_t_vectors(self, k: int) -> np.ndarray:
-        """Orthonormal eigenvectors of (1/T) ZZ' for the k leading eigenvalues, (T, k)."""
+    def leading_vectors(self, k: int, side: str) -> np.ndarray:
+        """k leading orthonormal eigenvectors of (1/T) ZZ' (side "t") or (1/T) Z'Z (side "p").
+
+        The decomposed side is T x T when T <= p; the other is mapped by Z or Z'
+        and orthonormalized by Householder QR, which fills exact-null directions.
+        """
         T, p = self.centered.shape
-        if T <= p:
+        if (side == "t") == (T <= p):
             return self.eigvecs[:, :k]
-        # map right-singular directions to the T side; Householder QR both
-        # normalizes them and fills exact-null directions deterministically
-        E, _ = np.linalg.qr(self.centered @ self.eigvecs[:, :k])
+        Z = self.centered if side == "t" else self.centered.T
+        E, _ = np.linalg.qr(Z @ self.eigvecs[:, :k])
         return apply_sign_convention(E)
 
 
-def _centered_eigh(values: np.ndarray) -> _CenteredSpectrum:
-    """Center the columns and eigendecompose (1/T) ZZ' or (1/T) Z'Z, whichever is smaller."""
+def _centered_eigh(values: np.ndarray, center: bool = True) -> _CenteredSpectrum:
+    """Optionally center the columns, then eigendecompose the smaller of (1/T) ZZ' and (1/T) Z'Z."""
     T, p = values.shape
-    mu = values.mean(axis=0)
+    mu = values.mean(axis=0) if center else np.zeros(p)
     Z = values - mu
     G = Z @ Z.T / T if T <= p else Z.T @ Z / T
     vals, vecs = eigh_descending((G + G.T) / 2.0)
@@ -96,9 +99,8 @@ class EigenSystem:
     grid: SampleGrid
 
     def __post_init__(self):
-        object.__setattr__(self, "gram_eigenvalues", _readonly(self.gram_eigenvalues))
-        object.__setattr__(self, "kernel_eigenvalues", _readonly(self.kernel_eigenvalues))
-        object.__setattr__(self, "eigvecs", _readonly(self.eigvecs))
+        for name in ("gram_eigenvalues", "kernel_eigenvalues", "eigvecs"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
 
     @property
     def count(self) -> int:
@@ -106,24 +108,21 @@ class EigenSystem:
 
 
 def empirical_eigensystem(panel: ObservationPanel, center: bool = True) -> EigenSystem:
-    """Eigendecompose the p x p matrix (1/T) Y'Y of a (centered) panel.
+    """Eigenvalues and eigenvectors of the p x p matrix (1/T) Y'Y of a (centered) panel.
 
     The leading min(T, p) eigenvalues are kept; they coincide with those
-    of the T x T companion matrix (1/T) YY'.  Centering is on by default,
-    matching the fitting pipeline; disable it for processes known to have
-    zero mean.
+    of the T x T companion matrix (1/T) YY'.  Only the smaller matrix is
+    decomposed; T x T eigenvectors U are mapped to the p side as Y'U and
+    orthonormalized by Householder QR, which also fills null directions.
+    Centering is on by default, matching the fitting pipeline; disable it
+    for processes known to have zero mean.
     """
-    Y = panel.values
-    if center:
-        Y = Y - Y.mean(axis=0)
-    G = Y.T @ Y / panel.T
-    G = (G + G.T) / 2.0
-    vals, vecs = eigh_descending(G)
-    k = min(panel.T, panel.p)
+    spectrum = _centered_eigh(panel.values, center)
+    vals = spectrum.gram_eigenvalues  # min(T, p) values: the smaller side was decomposed
     return EigenSystem(
-        gram_eigenvalues=vals[:k],
-        kernel_eigenvalues=vals[:k] / panel.p,
-        eigvecs=vecs[:, :k],
+        gram_eigenvalues=vals,
+        kernel_eigenvalues=vals / panel.p,
+        eigvecs=spectrum.leading_vectors(vals.size, "p"),
         grid=panel.grid,
     )
 

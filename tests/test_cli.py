@@ -1,8 +1,14 @@
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdfactor import (
     RoughDgpConfig,
@@ -10,6 +16,8 @@ from fdfactor import (
     gen_ar1_noise,
     gen_rough_signals,
     load_panel,
+    residual_correlation,
+    residual_covariance,
     save_panel,
 )
 from fdfactor.cli import main
@@ -183,6 +191,24 @@ class TestDiagnoseCommand:
         assert cov.shape == (6, 6)
         assert (out / "correlation.csv").exists() and (out / "xi.csv").exists()
 
+    @pytest.mark.parametrize("cols", [None, "2:7"])
+    def test_matrices_read_back_exactly(self, tmp_path, cols):
+        values = np.random.default_rng(14).standard_normal((30, 12))
+        values[:, 4] = 2.5  # a zero-variance column: NaN correlations
+        data = tmp_path / "resid.csv"
+        write_plain_csv(data, values)
+        out = tmp_path / "diag"
+        argv = ["diagnose", "--input", str(data), "--out", str(out)]
+        assert main(argv + (["--cols", cols] if cols else [])) == 0
+        window = slice(1, 7) if cols else slice(None)
+        panel = load_panel(data)
+        expected = {"covariance.csv": residual_covariance(panel),
+                    "correlation.csv": residual_correlation(panel)[0]}
+        for name, matrix in expected.items():
+            got = np.loadtxt(out / name, delimiter=",", ndmin=2)
+            assert np.array_equal(got, matrix[window, window], equal_nan=True)
+        assert np.isnan(np.loadtxt(out / "correlation.csv", delimiter=",")).any()
+
     def test_bad_window_exits_2(self, tmp_path, capsys):
         data = tmp_path / "resid.csv"
         write_plain_csv(data, np.random.default_rng(10).standard_normal((10, 8)))
@@ -315,6 +341,14 @@ class TestSimulateSpecValidation:
         code, err, _ = self.run(tmp_path, capsys, json.dumps({**self.BASE, "seed": -1}))
         assert code == 2 and "seed" in err
 
+    @pytest.mark.parametrize("dgp, kind", [("rough", "noise-test"), ("smooth", "sse")])
+    @pytest.mark.parametrize("sigma2", [-1, "NaN"])
+    def test_invalid_sigma2_exits_2(self, tmp_path, capsys, dgp, kind, sigma2):
+        setting = {"p": 20, "T": 40, "sigma2": sigma2}
+        text = json.dumps({**self.BASE, "dgp": dgp, "kind": kind, "settings": [setting]})
+        code, err, _ = self.run(tmp_path, capsys, text.replace('"NaN"', "NaN"))
+        assert code == 2 and "sigma2" in err and str(float(sigma2)) in err
+
 
 class TestImputeCommand:
     def test_fills_gaps(self, tmp_path):
@@ -332,3 +366,100 @@ class TestImputeCommand:
         assert main(["impute", "--input", str(src), "--header", "--out", str(out)]) == 0
         panel = load_panel(out, header=True)
         assert np.allclose(panel.values, [[2.0, 2.0, 4.0], [1.0, 2.0, 3.0]])
+
+
+#: malformed cells; a fuzzed table is a numeric one with a few of these patched in
+BAD_CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["", " ", "na", "NaN", "null", "inf", "-Infinity", "1e400", "1,5",
+                     '"2"', "abc", "0x10", "1_0", "\t3 ", "--1"]),
+)
+NUMBERS = st.one_of(st.floats(-100.0, 100.0), st.sampled_from([0.0, 1e300, -1e-300, 5e-324]))
+
+
+@st.composite
+def tables(draw):
+    T, p = draw(st.integers(0, 10)), draw(st.integers(0, 12))
+    rows = [[repr(draw(NUMBERS)) for _ in range(p)] for _ in range(T)]
+    for i, j, cell in draw(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 11), BAD_CELLS),
+                                    max_size=2)):
+        if i < T and j < p:
+            rows[i][j] = cell
+    for i, width in draw(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 12)), max_size=1)):
+        if i < T:
+            rows[i] = rows[i][:width]  # a ragged row
+    if draw(st.booleans()):
+        rows.insert(0, [repr((j + 0.5) / p) for j in range(p)])  # a valid grid row
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+TABLE_COMMANDS = {
+    "fit-L": ["fit", "--L", "1"],
+    "fit-auto": ["fit", "--scree-auto", "--lmax", "4"],
+    "fit-mean": ["fit", "--mean-only"],
+    "test": ["test", "--thin", "2"],
+    "scree": ["scree", "--lmax", "4", "--thin", "2"],
+    "diagnose": ["diagnose", "--cols", "1:2", "--thin", "2"],
+}
+#: wrong types and bad numbers patched into fuzzed specs
+SPEC_VALUES = st.one_of(
+    st.integers(-3, 12), st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["rough", "smooth", "sse", "x", "", None, True, [], {}, ["pca"], [1]]),
+)
+
+
+@st.composite
+def specs(draw):
+    """Small runnable specs with a key dropped or replaced, or arbitrary text."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.text(max_size=40))
+    setting = {
+        "p": draw(st.integers(6, 40)), "T": draw(st.integers(4, 40)),
+        "sigma2": draw(st.floats(0.0, 4.0)), "theta_ar": draw(st.floats(0.0, 0.9)),
+    }
+    spec = {
+        "dgp": draw(st.sampled_from(["rough", "smooth"])),
+        "kind": draw(st.sampled_from(["sse", "noise-test"])),
+        "settings": [setting], "replications": draw(st.integers(1, 3)),
+        "seed": draw(st.integers(0, 2**64)),
+        "methods": draw(st.sampled_from([["pca"], ["bspline"], ["pca", "bspline"]])),
+        "l_policy": draw(st.sampled_from(["fixed", "plateau"])), "l": draw(st.integers(1, 8)),
+        "scree_l_max": draw(st.integers(4, 12)), "cutoff": draw(st.floats(0.0, 0.5)),
+        "thinning": draw(st.one_of(st.none(), st.integers(1, 6))),
+        "smooth_K": draw(st.integers(4, 30)), "signal_variance": draw(st.floats(0.0, 30.0)),
+    }
+    for target in (spec, setting):
+        for key in draw(st.sets(st.sampled_from(sorted(target)), max_size=1)):
+            del target[key]
+        target.update(draw(st.dictionaries(st.sampled_from(sorted(target) + ["extra"]),
+                                           SPEC_VALUES, max_size=1)))
+    return json.dumps(spec)
+
+
+def run_fuzzed(argv):
+    """Exit code of one command; an escaping exception or a printed traceback fails the test."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+class TestCliFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(table=tables(), command=st.sampled_from(sorted(TABLE_COMMANDS)), header=st.booleans())
+    def test_malformed_tables_exit_cleanly(self, table, command, header):
+        with tempfile.TemporaryDirectory() as tmp:
+            data = Path(tmp) / "table.csv"
+            data.write_text(table)
+            flags = ["--input", str(data)] + (["--header"] if header else [])
+            assert run_fuzzed(TABLE_COMMANDS[command] + flags + ["--out", f"{tmp}/o"]) in (0, 2, 3)
+            assert run_fuzzed(["impute"] + flags + ["--out", f"{tmp}/filled.csv"]) in (0, 2, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=specs())
+    def test_malformed_specs_exit_cleanly(self, spec):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "spec.json"
+            path.write_text(spec)
+            assert run_fuzzed(["simulate", "--spec", str(path), "--out", f"{tmp}/o"]) in (0, 2, 3)

@@ -206,6 +206,16 @@ class TestIidNoiseTest:
         with pytest.raises(DegenerateVarianceError):
             iid_noise_test(make_panel(np.zeros((4, 12))), sel)
 
+    @pytest.mark.parametrize("scale", [1e-95, 1e95])
+    def test_variance_whose_square_leaves_the_float_range_raises(self, scale):
+        # sigma2 ~ 1e-190 or 1e190: sigma2**2 would underflow to 0 or overflow
+        values = scale * np.random.default_rng(3).standard_normal((20, 24))
+        sel = select_frequencies(24, 0.1, 1)
+        with pytest.raises(DegenerateVarianceError):
+            iid_noise_test(values, sel)
+        with pytest.raises(DegenerateVarianceError):
+            iid_noise_test(values, sel, sigma2=scale**2)
+
     def test_sigma_override_is_used(self):
         rng = np.random.default_rng(2)
         values = rng.standard_normal((20, 24))

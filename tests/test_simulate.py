@@ -1,9 +1,12 @@
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.interpolate import BSpline
 
+import fdfactor
 from fdfactor import (
     DimensionError,
     DomainError,
@@ -274,6 +277,13 @@ class TestBsplineBaseline:
             with pytest.raises(NumericalError):
                 bspline_ls_fit(panel, 8)
 
+    def test_import_leaves_scipy_linalg_unloaded(self):
+        src = str(Path(fdfactor.__file__).resolve().parents[1])
+        code = "import sys, fdfactor; print('scipy.linalg' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert done.stdout.strip() == "False"
+
     def test_k_bound(self):
         cfg = SmoothDgpConfig(p=6, T=5, sigma=0.0, K=8, seed=12)
         signals = gen_spline_signals(cfg)
@@ -327,6 +337,38 @@ class TestMonteCarloHarness:
         a = run_monte_carlo(spec, workers=1)
         b = run_monte_carlo(spec, workers=4)
         assert summary_rows(a) == summary_rows(b)
+
+    @pytest.mark.parametrize("sigma2", [-1.0, float("nan"), float("inf")])
+    def test_invalid_sigma2_is_rejected(self, sigma2):
+        with pytest.raises(DomainError, match=str(sigma2)):
+            SimSetting(p=20, T=30, sigma2=sigma2)
+
+    @pytest.mark.parametrize("p, T", [(1, 30), (20, 0), (0, -1)])
+    def test_setting_sizes_below_two_are_rejected(self, p, T):
+        with pytest.raises(DimensionError, match=f"p={p}, T={T}"):
+            SimSetting(p=p, T=T, sigma2=0.1)
+
+    def test_only_the_summary_levels_are_accepted(self):
+        assert self.spec(levels=[0.01, 0.05, 0.1]).levels == (0.01, 0.05, 0.10)
+        with pytest.raises(DomainError, match=r"\(0\.01, 0\.05, 0\.1\)"):
+            self.spec(levels=(0.2,))
+
+    def test_worker_count_comes_from_the_argument_only(self, monkeypatch):
+        import fdfactor.simulate as simulate
+
+        pools = []
+
+        class Recorder(simulate.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setenv("FDFACTOR_WORKERS", "3")
+        spec = self.spec(replications=2)
+        for workers in (None, 0, -2, 2):
+            run_monte_carlo(spec, workers=workers)
+        assert pools == [1, 1, 1, 2]
 
     def test_failed_replications_are_counted(self):
         # L exceeds min(T-1, p) in every replication: all fail, none hide

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fdfactor import (
     DimensionError,
@@ -15,6 +17,7 @@ from fdfactor import (
     l2_norm,
     rough_components,
 )
+from fdfactor import spectral
 
 JUMP_EIGENFUNCTION = StepFunction(
     SampleGrid(np.array([0.0, 1.0 / 3.0])), np.array([0.0, np.sqrt(1.5)])
@@ -193,6 +196,58 @@ class TestStepFunctionGeometry:
         assert f(0.5) == 2.0
         assert f(0.8) == 3.0
         assert f(1.0) == 3.0  # last level extends to 1
+
+
+@st.composite
+def gram_panels(draw):
+    """T<p, T=p and T>p panels; duplicated or constant rows make some rank-deficient."""
+    small, large = sorted(draw(st.lists(st.integers(2, 12), min_size=2, max_size=2)))
+    T, p = draw(st.sampled_from([(small, large), (small, small), (large, small)]))
+    values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((T, p))
+    for i in draw(st.lists(st.integers(1, T - 1), max_size=T)):
+        values[i] = values[0] if draw(st.booleans()) else draw(st.floats(-3.0, 3.0))
+    return make_panel(values)
+
+
+class TestSmallerSideEigensystem:
+    @given(panel=gram_panels(), center=st.booleans())
+    def test_eigenpairs_of_the_p_side_gram(self, panel, center):
+        system = empirical_eigensystem(panel, center=center)
+        Y = panel.values - panel.values.mean(axis=0) if center else panel.values
+        G = Y.T @ Y / panel.T
+        k = min(panel.T, panel.p)
+        reference = np.sort(np.linalg.eigvalsh(G))[::-1][:k]
+        gamma, V = system.gram_eigenvalues, system.eigvecs
+        assert V.shape == (panel.p, k)
+        assert np.max(np.abs(gamma - reference)) <= 1e-10 * reference[0]
+        assert np.max(np.abs(V.T @ V - np.eye(k))) <= 1e-10
+        for g, v in zip(gamma, V.T):
+            if g > 1e-8 * gamma[0]:
+                assert np.linalg.norm(G @ v - g * v) <= 1e-10 * gamma[0]
+
+    def test_paper_shape_decomposes_only_the_smaller_gram(self, monkeypatch):
+        shapes = []
+        eigh = spectral.eigh_descending
+
+        def spy(matrix):
+            shapes.append(matrix.shape)
+            return eigh(matrix)
+
+        monkeypatch.setattr(spectral, "eigh_descending", spy)
+        panel = make_panel(np.random.default_rng(4).standard_normal((200, 365)))
+        system = empirical_eigensystem(panel)
+        assert shapes == [(200, 200)]
+        assert system.eigvecs.shape == (365, 200)
+
+    @pytest.mark.parametrize("center", [True, False])
+    def test_tall_panel_is_the_p_side_decomposition(self, center):
+        values = np.random.default_rng(5).standard_normal((40, 9))
+        Y = values - values.mean(axis=0) if center else values
+        G = Y.T @ Y / 40
+        vals, vecs = spectral.eigh_descending((G + G.T) / 2.0)
+        system = empirical_eigensystem(make_panel(values), center=center)
+        assert np.array_equal(system.gram_eigenvalues, vals)
+        assert np.array_equal(system.eigvecs, vecs)
 
 
 class TestEighWrapper:
