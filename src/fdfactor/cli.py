@@ -39,7 +39,7 @@ from .errors import (
     SelectionError,
 )
 from .factor import fit, load_fit_residuals, save_fit
-from .order import classic_scree, lambda_scree, plateau_fit, suggest_plateau_L
+from .order import _scree_spectrum, plateau_fit, suggest_plateau_L
 from .panel import (
     ObservationPanel,
     SampleGrid,
@@ -57,7 +57,7 @@ from .simulate import (
     run_monte_carlo,
     write_summary_csv,
 )
-from .spectral import empirical_eigensystem
+from .spectral import _centered_eigh
 
 USAGE_ERRORS = (
     PanelFormatError,
@@ -181,14 +181,15 @@ def _cmd_scree(args) -> int:
     panel = load_panel(args.input, header=args.header)
     sel = _selection(panel.p, panel.T, args.cutoff, args.thin)
     l_max = min(args.lmax, min(panel.T - 1, panel.p))
-    lam = lambda_scree(panel, l_max, sel)
-    gamma = classic_scree(empirical_eigensystem(panel), l_max)
+    spectrum = _centered_eigh(panel.values)
+    lam = _scree_spectrum(spectrum, l_max, sel)
+    gamma = spectrum.gram_eigenvalues[:l_max]
     suggestion = suggest_plateau_L(lam) if l_max >= 4 else None
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_rows(out / "scree.csv",
-                zip(lam.orders.tolist(), gamma.values.tolist(), lam.values.tolist()),
+                zip(lam.orders.tolist(), gamma.tolist(), lam.values.tolist()),
                 ["l", "gamma", "lambda_inf"])
     params = {"lmax": l_max, "cutoff": args.cutoff, "thin": args.thin}
     if suggestion is not None:
@@ -216,26 +217,30 @@ def _cmd_diagnose(args) -> int:
 
     if not 1 <= args.curve <= residuals.T:
         raise DimensionError(f"curve index {args.curve} out of range 1..{residuals.T}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     h_max = min(args.hmax, residuals.p - 1)
     acvf, acf = residual_acf(residuals.values[args.curve - 1], h_max)
-    acf_col = acf.tolist() if acf is not None else [None] * (h_max + 1)
-    _write_rows(out / "acf.csv", zip(range(h_max + 1), acvf.tolist(), acf_col),
-                ["lag", "acvf", "acf"])
-
     cov = residual_covariance(residuals)
     corr, _ = residual_correlation(residuals)
     if args.cols is not None:
         lo, hi = _parse_window(args.cols, residuals.p)
         cov = cov[lo:hi, lo:hi]
         corr = corr[lo:hi, lo:hi]
+    sel = _selection(residuals.p, residuals.T, args.cutoff, args.thin)
+    xi = averaged_periodogram(residuals, sel)
+    # NaN correlations of zero-variance columns are documented output, not a fault
+    for name, values in (("autocovariance", acvf), ("covariance", cov), ("periodogram xi", xi)):
+        if not np.all(np.isfinite(values)):
+            raise NumericalError(f"residual {name} is not finite; "
+                                 "the residuals are too large for the float range")
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    acf_col = acf.tolist() if acf is not None else [None] * (h_max + 1)
+    _write_rows(out / "acf.csv", zip(range(h_max + 1), acvf.tolist(), acf_col),
+                ["lag", "acvf", "acf"])
     _write_rows(out / "covariance.csv", cov)
     _write_rows(out / "correlation.csv", corr)
-
-    sel = _selection(residuals.p, residuals.T, args.cutoff, args.thin)
-    _write_xi(out / "xi.csv", sel, averaged_periodogram(residuals, sel))
+    _write_xi(out / "xi.csv", sel, xi)
     _write_manifest(
         out, "diagnose",
         {"curve": args.curve, "hmax": h_max, "cols": args.cols,
@@ -259,9 +264,16 @@ _SETTING_TYPES = {"p": (int,), "T": (int,), "sigma2": _NUMBER, "theta_ar": _NUMB
 
 
 def _spec_fields(obj, types: dict, required, where: str) -> dict:
-    """Keys of a JSON object that are present, numbers as floats; faults name the key."""
+    """Keys of a JSON object that are present, numbers as floats; faults name the key.
+
+    A key outside ``types`` is a fault too, so a misspelt key never runs on a default.
+    """
     if not isinstance(obj, dict):
         raise PanelFormatError(f"{where} must be a JSON object, got {obj!r}")
+    unknown = sorted(set(obj) - set(types))
+    if unknown:
+        raise PanelFormatError(f"{where}: unknown key {unknown[0]!r}; "
+                               f"accepted keys are {', '.join(types)}")
     out = {}
     for key, accepted in types.items():
         if key not in obj:

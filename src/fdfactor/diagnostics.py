@@ -12,10 +12,10 @@ cutoff removes them, and thinning keeps f/T small.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import (
     DegenerateVarianceError,
@@ -323,15 +323,43 @@ def ar1_spectral_density(theta_coef: float, sigma: float, theta: float) -> float
 # ---------------------------------------------------------------------------
 # distribution tails
 
+def _log_poisson_term(i: float, y: float) -> float:
+    """log(y^i exp(-y) / Gamma(i+1)) for i >= 0 and y > 0.
+
+    From i = 15 on, i log y and lgamma(i+1) are large and nearly cancel near
+    the mode i ~ y, which would leave an error of order i * 1e-16.  There the
+    term takes Loader's (2000) form i log(y/i) - y + i - log(2 pi i)/2 - s(i),
+    with s(i) = lgamma(i+1) - (i+1/2) log i + i - log sqrt(2 pi) from five
+    terms of Stirling's series (exact to 3e-16 at i >= 15).
+    """
+    if i < 15.0:
+        return i * math.log(y) - y - math.lgamma(i + 1.0)
+    n2 = i * i
+    s = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / n2) / n2) / n2) / n2) / i
+    return -i * math.log(i / y) - y + i - 0.5 * math.log(2.0 * math.pi * i) - s
+
+
 def chi2_upper_tail(x: float, dof: int) -> float:
-    """P(chi^2_dof >= x), accurate to well below 1e-8 on x in [0, 200]."""
+    """P(chi^2_dof >= x), in closed form at integer dof (Abramowitz & Stegun 26.4.4-26.4.5).
+
+    With y = x/2 the tail is the finite sum of y^i exp(-y) / Gamma(i+1) over
+    i = 0, 1, ..., dof/2 - 1 for even dof, and erfc(sqrt(y)) plus the same sum
+    over i = 1/2, 3/2, ..., (dof-2)/2 for odd dof.  Each term is taken in log
+    space, so none under- or overflows at large x or dof.
+    """
     if not isinstance(dof, (int, np.integer)) or dof < 1:
         raise DomainError(f"degrees of freedom must be a positive integer, got {dof}")
-    if x <= 0.0:
+    y = x / 2.0
+    if y <= 0.0:  # also an x so small that its half rounds to zero
         return 1.0
-    return float(special.gammaincc(dof / 2.0, x / 2.0))
+    if y == math.inf:
+        return 0.0
+    half = (dof % 2) / 2.0
+    terms = [math.erfc(math.sqrt(y)) if half else 0.0]
+    terms += [math.exp(_log_poisson_term(half + k, y)) for k in range(dof // 2)]
+    return math.fsum(terms)
 
 
 def normal_upper_tail(z: float) -> float:
-    """P(N(0,1) >= z)."""
-    return float(0.5 * special.erfc(z / np.sqrt(2.0)))
+    """P(N(0,1) >= z) = erfc(z / sqrt(2)) / 2."""
+    return 0.5 * math.erfc(z / math.sqrt(2.0))

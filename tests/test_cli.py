@@ -13,12 +13,18 @@ from hypothesis import strategies as st
 from fdfactor import (
     RoughDgpConfig,
     add_noise,
+    auto_thinning,
+    classic_scree,
+    empirical_eigensystem,
     gen_ar1_noise,
     gen_rough_signals,
+    lambda_scree,
     load_panel,
     residual_correlation,
     residual_covariance,
     save_panel,
+    select_frequencies,
+    spectral,
 )
 from fdfactor.cli import main
 
@@ -177,6 +183,30 @@ class TestScreeCommand:
         payload = json.loads(capsys.readouterr().out)
         assert "suggested_L" in payload
 
+    @pytest.mark.parametrize("T, p", [(30, 40), (60, 20)])
+    def test_one_decomposition_gives_both_screes(self, tmp_path, monkeypatch, T, p):
+        data = tmp_path / "rough.csv"
+        panel = write_rough_csv(data, p=p, T=T, sigma2=0.05, seed=12)
+        sel = select_frequencies(p, 0.1, auto_thinning(p, T, 0.1))
+        gamma = classic_scree(empirical_eigensystem(panel), 6).values
+        lam = lambda_scree(panel, 6, sel).values
+        shapes = []
+        eigh = spectral.eigh_descending
+
+        def spy(matrix):
+            shapes.append(matrix.shape)
+            return eigh(matrix)
+
+        monkeypatch.setattr(spectral, "eigh_descending", spy)
+        out = tmp_path / "scree"
+        assert main(["scree", "--input", str(data), "--header", "--lmax", "6",
+                     "--out", str(out)]) == 0
+        assert shapes == [(min(T, p), min(T, p))]
+        with open(out / "scree.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["gamma"]) for r in rows] == gamma.tolist()
+        assert [float(r["lambda_inf"]) for r in rows] == lam.tolist()
+
 
 class TestDiagnoseCommand:
     def test_exports_and_window(self, tmp_path):
@@ -208,6 +238,17 @@ class TestDiagnoseCommand:
             got = np.loadtxt(out / name, delimiter=",", ndmin=2)
             assert np.array_equal(got, matrix[window, window], equal_nan=True)
         assert np.isnan(np.loadtxt(out / "correlation.csv", delimiter=",")).any()
+
+    def test_overflowing_residuals_exit_3(self, tmp_path, capsys):
+        values = np.random.default_rng(15).standard_normal((10, 12))
+        values[4, 7] = 1e300
+        data = tmp_path / "resid.csv"
+        write_plain_csv(data, values)
+        out = tmp_path / "diag"
+        assert main(["diagnose", "--input", str(data), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "covariance is not finite" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_bad_window_exits_2(self, tmp_path, capsys):
         data = tmp_path / "resid.csv"
@@ -336,6 +377,17 @@ class TestSimulateSpecValidation:
         code, err, path = self.run(tmp_path, capsys,
                                    json.dumps({**self.BASE, "settings": [setting]}))
         assert code == 2 and path in err and "settings[0]" in err and repr(key) in err
+
+    @pytest.mark.parametrize("key, value", [("l_fixed", 5), ("l_polcy", "plateau")])
+    def test_unknown_key_exits_2(self, tmp_path, capsys, key, value):
+        code, err, path = self.run(tmp_path, capsys, json.dumps({**self.BASE, key: value}))
+        assert code == 2 and path in err and repr(key) in err
+
+    def test_unknown_setting_key_exits_2(self, tmp_path, capsys):
+        setting = {**self.BASE["settings"][0], "theta": 0.4}
+        code, err, path = self.run(tmp_path, capsys,
+                                   json.dumps({**self.BASE, "settings": [setting]}))
+        assert code == 2 and path in err and "settings[0]" in err and "'theta'" in err
 
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         code, err, _ = self.run(tmp_path, capsys, json.dumps({**self.BASE, "seed": -1}))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from scipy import special
 
 from fdfactor import (
     DegenerateVarianceError,
@@ -407,3 +408,22 @@ class TestDistributionTails:
     def test_invalid_dof(self):
         with pytest.raises(DomainError):
             chi2_upper_tail(1.0, 0)
+
+    @pytest.mark.parametrize("dof", [1, 2, 3, 4, 9, 10, 53, 54, 181, 182, 999, 1000, 4999, 5000])
+    def test_chi2_against_scipy_oracle(self, dof):
+        x = np.concatenate([
+            [-1.0, 0.0, 5e-324, 1e-300, 1e-8], np.geomspace(1e-3, 1e6, 300),
+            np.linspace(0.25 * dof, 2.5 * dof, 300),
+        ])
+        expected = np.where(x > 0, special.gammaincc(dof / 2.0, x / 2.0), 1.0)
+        got = np.array([chi2_upper_tail(float(v), dof) for v in x])
+        assert np.max(np.abs(got - expected)) <= 1e-12
+        assert chi2_upper_tail(math.inf, dof) == 0.0
+        assert math.isnan(chi2_upper_tail(math.nan, dof))
+
+    def test_normal_against_scipy_oracle(self):
+        z = np.concatenate([np.linspace(-40.0, 40.0, 2001), [-np.inf, np.inf]])
+        expected = 0.5 * special.erfc(z / np.sqrt(2.0))
+        got = np.array([normal_upper_tail(float(v)) for v in z])
+        assert np.max(np.abs(got - expected)) <= 1e-14
+        assert math.isnan(normal_upper_tail(math.nan))

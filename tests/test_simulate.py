@@ -277,12 +277,14 @@ class TestBsplineBaseline:
             with pytest.raises(NumericalError):
                 bspline_ls_fit(panel, 8)
 
-    def test_import_leaves_scipy_linalg_unloaded(self):
+    @pytest.mark.parametrize("prefix", ["scipy.linalg", "scipy"])
+    def test_import_leaves_scipy_linalg_unloaded(self, prefix):
         src = str(Path(fdfactor.__file__).resolve().parents[1])
-        code = "import sys, fdfactor; print('scipy.linalg' in sys.modules)"
+        code = ("import sys, fdfactor, fdfactor.cli; print(sorted(m for m in sys.modules "
+                f"if (m + '.').startswith({prefix + '.'!r})))")
         done = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
                               text=True, timeout=60, check=True)
-        assert done.stdout.strip() == "False"
+        assert done.stdout.strip() == "[]"
 
     def test_k_bound(self):
         cfg = SmoothDgpConfig(p=6, T=5, sigma=0.0, K=8, seed=12)
