@@ -65,7 +65,7 @@ USAGE_ERRORS = (
     OrderError,
     DomainError,
     SelectionError,
-    FileNotFoundError,
+    OSError,
 )
 NUMERIC_ERRORS = (NumericalError, DegenerateVarianceError)
 
@@ -118,10 +118,11 @@ def _cmd_fit(args) -> int:
 
     if args.mean_only:
         mu = panel.values.mean(axis=0)
-        signals = np.broadcast_to(mu, panel.values.shape)
+        signals = ObservationPanel(np.broadcast_to(mu, panel.values.shape), panel.grid)
+        residuals = ObservationPanel(panel.values - signals.values, panel.grid)
         out.mkdir(parents=True, exist_ok=True)
-        save_panel(ObservationPanel(np.array(signals), panel.grid), out / "signals.csv")
-        save_panel(ObservationPanel(panel.values - signals, panel.grid), out / "residuals.csv")
+        save_panel(signals, out / "signals.csv")
+        save_panel(residuals, out / "residuals.csv")
         _write_rows(out / "muhat.csv", [mu], panel.grid.points)
         params["mode"] = "mean-only"
         _write_manifest(out, "fit", params, {"input": args.input})
@@ -147,16 +148,19 @@ def _cmd_fit(args) -> int:
     params["L"] = int(L)
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
+    if args.trace_curve is not None:
+        trace = dense_trace(interpolate(result, args.trace_curve), args.trace_points)
     save_fit(result, out)
     _write_manifest(out, "fit", params, {"input": args.input})
     if args.trace_curve is not None:
-        curve = interpolate(result, args.trace_curve)
-        _write_rows(out / "trace.csv", dense_trace(curve, args.trace_points), ["s", "value"])
+        _write_rows(out / "trace.csv", trace, ["s", "value"])
     print(json.dumps({"L": int(L), "T": result.T, "p": result.p, "out": str(out)}))
     return 0
 
 
 def _cmd_test(args) -> int:
+    if args.sigma2 is not None and not 0.0 < args.sigma2 < np.inf:
+        raise DomainError(f"--sigma2 must be a positive finite number, got {args.sigma2}")
     residuals, input_path = _load_residuals(args)
 
     sel = _selection(residuals.p, residuals.T, args.cutoff, args.thin)
@@ -218,15 +222,16 @@ def _cmd_diagnose(args) -> int:
     if not 1 <= args.curve <= residuals.T:
         raise DimensionError(f"curve index {args.curve} out of range 1..{residuals.T}")
     h_max = min(args.hmax, residuals.p - 1)
-    acvf, acf = residual_acf(residuals.values[args.curve - 1], h_max)
-    cov = residual_covariance(residuals)
-    corr, _ = residual_correlation(residuals)
-    if args.cols is not None:
-        lo, hi = _parse_window(args.cols, residuals.p)
-        cov = cov[lo:hi, lo:hi]
-        corr = corr[lo:hi, lo:hi]
-    sel = _selection(residuals.p, residuals.T, args.cutoff, args.thin)
-    xi = averaged_periodogram(residuals, sel)
+    with np.errstate(over="ignore", invalid="ignore"):
+        acvf, acf = residual_acf(residuals.values[args.curve - 1], h_max)
+        cov = residual_covariance(residuals)
+        corr, _ = residual_correlation(residuals)
+        if args.cols is not None:
+            lo, hi = _parse_window(args.cols, residuals.p)
+            cov = cov[lo:hi, lo:hi]
+            corr = corr[lo:hi, lo:hi]
+        sel = _selection(residuals.p, residuals.T, args.cutoff, args.thin)
+        xi = averaged_periodogram(residuals, sel)
     # NaN correlations of zero-variance columns are documented output, not a fault
     for name, values in (("autocovariance", acvf), ("covariance", cov), ("periodogram xi", xi)):
         if not np.all(np.isfinite(values)):

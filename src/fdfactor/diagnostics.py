@@ -21,6 +21,7 @@ from .errors import (
     DegenerateVarianceError,
     DimensionError,
     DomainError,
+    NumericalError,
     SelectionError,
 )
 from .panel import ObservationPanel, _readonly
@@ -231,18 +232,24 @@ def iid_noise_test(residuals, sel: FrequencySelection, sigma2: float | None = No
         When the noise variance is estimated (or given) as <= 0, e.g.
         for an all-zero residual panel after a saturated fit, or when its
         square under- or overflows the float range.
+    NumericalError
+        When a periodogram ordinate xi overflows the float range.
     """
     values = _as_values(residuals)
     T = values.shape[0]
-    xi = averaged_periodogram(values, sel)
-    if sigma2 is None:
-        sigma2 = gasser_variance(values)
+    f = sel.f
+    with np.errstate(over="ignore", invalid="ignore"):
+        xi = averaged_periodogram(values, sel)
+        s2_xi = float(np.sum((xi - xi.mean()) ** 2) / (f - 1))
+        if sigma2 is None:
+            sigma2 = gasser_variance(values)
+    if not np.all(np.isfinite(xi)):
+        raise NumericalError("residual periodogram xi is not finite; "
+                             "the residuals are too large for the float range")
     if not (sigma2 > 0.0 and 0.0 < sigma2 * sigma2 < np.inf):
         raise DegenerateVarianceError(
-            f"noise variance is {sigma2}; residuals are degenerate"
+            f"noise variance is {sigma2}; residuals are degenerate or beyond the float range"
         )
-    f = sel.f
-    s2_xi = float(np.sum((xi - xi.mean()) ** 2) / (f - 1))
     lam_fin = (f - 1) * T * s2_xi / sigma2**2
     lam_inf = (T * s2_xi / sigma2**2 - 1.0) * np.sqrt((f - 1) / 2.0)
     return NoiseTestReport(

@@ -103,7 +103,8 @@ def fit(panel: ObservationPanel, L: int) -> FactorFit:
     OrderError
         L outside the admissible range.
     NumericalError
-        Eigensolver failure (with matrix diagnostics in the message).
+        Eigensolver failure (with matrix diagnostics in the message), or a
+        Gram matrix that overflows the float range.
 
     Notes
     -----

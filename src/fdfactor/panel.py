@@ -144,11 +144,15 @@ def center(panel: ObservationPanel, mean: MeanVector) -> ObservationPanel:
 
 
 def _iter_rows(source: Source) -> Iterable[list]:
-    if hasattr(source, "read"):
-        yield from csv.reader(source)
-    else:
-        with open(source, "r", newline="") as fh:
-            yield from csv.reader(fh)
+    try:
+        if hasattr(source, "read"):
+            yield from csv.reader(source)
+        else:
+            with open(source, "r", newline="") as fh:
+                yield from csv.reader(fh)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        where = getattr(source, "name", source)
+        raise PanelFormatError(f"{where}: not a readable CSV text table ({exc})") from None
 
 
 def _parse_row(cells, row_label, allow_missing: bool = False):

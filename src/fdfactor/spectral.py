@@ -76,9 +76,13 @@ class _CenteredSpectrum(NamedTuple):
 def _centered_eigh(values: np.ndarray, center: bool = True) -> _CenteredSpectrum:
     """Optionally center the columns, then eigendecompose the smaller of (1/T) ZZ' and (1/T) Z'Z."""
     T, p = values.shape
-    mu = values.mean(axis=0) if center else np.zeros(p)
-    Z = values - mu
-    G = Z @ Z.T / T if T <= p else Z.T @ Z / T
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = values.mean(axis=0) if center else np.zeros(p)
+        Z = values - mu
+        G = Z @ Z.T / T if T <= p else Z.T @ Z / T
+    if not np.all(np.isfinite(G)):
+        raise NumericalError("Gram matrix of the panel is not finite; "
+                             "the panel is too large for the float range")
     vals, vecs = eigh_descending((G + G.T) / 2.0)
     return _CenteredSpectrum(mu, Z, vals, vecs)
 

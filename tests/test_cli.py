@@ -107,6 +107,16 @@ class TestFitCommand:
         assert lines[0] == "s,value"
         assert len(lines) == 201
 
+    @pytest.mark.parametrize("flags", [["--trace-curve", "99"],
+                                       ["--trace-curve", "3", "--trace-points", "1"]])
+    def test_failing_trace_writes_nothing(self, tmp_path, capsys, flags):
+        data = tmp_path / "panel.csv"
+        write_plain_csv(data, np.random.default_rng(11).standard_normal((8, 12)))
+        out = tmp_path / "out"
+        assert main(["fit", "--input", str(data), "--L", "1", "--out", str(out)] + flags) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mean_only_flag(self, tmp_path):
         data = tmp_path / "panel.csv"
         write_plain_csv(data, np.random.default_rng(3).standard_normal((6, 8)) + 7.0)
@@ -140,6 +150,16 @@ class TestTestCommand:
         write_plain_csv(data, np.zeros((10, 12)))
         assert main(["test", "--input", str(data)]) == 3
         assert "degenerate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sigma2", ["-1", "0", "nan", "inf"])
+    def test_bad_sigma2_override_exits_2(self, tmp_path, capsys, sigma2):
+        data = tmp_path / "resid.csv"
+        write_plain_csv(data, np.random.default_rng(4).standard_normal((40, 30)))
+        out = tmp_path / "report"
+        assert main(["test", "--input", str(data), "--sigma2", sigma2, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--sigma2" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_strong_ar_noise_rejects_decisively(self, tmp_path, capsys):
         data = tmp_path / "resid.csv"
@@ -239,6 +259,7 @@ class TestDiagnoseCommand:
             assert np.array_equal(got, matrix[window, window], equal_nan=True)
         assert np.isnan(np.loadtxt(out / "correlation.csv", delimiter=",")).any()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_residuals_exit_3(self, tmp_path, capsys):
         values = np.random.default_rng(15).standard_normal((10, 12))
         values[4, 7] = 1e300
@@ -248,6 +269,25 @@ class TestDiagnoseCommand:
         assert main(["diagnose", "--input", str(data), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert "covariance is not finite" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command, quantity", [
+        (["fit", "--L", "1"], "Gram matrix of the panel is not finite"),
+        (["fit", "--scree-auto", "--lmax", "4"], "Gram matrix of the panel is not finite"),
+        (["scree", "--lmax", "4"], "Gram matrix of the panel is not finite"),
+        (["test"], "periodogram xi is not finite"),
+    ], ids=["fit", "fit-auto", "scree", "test"])
+    def test_overflowing_panel_exits_3_in_other_commands(self, tmp_path, capsys, command,
+                                                         quantity):
+        values = np.random.default_rng(15).standard_normal((10, 12))
+        values[4, 7] = 1e300
+        data = tmp_path / "panel.csv"
+        write_plain_csv(data, values)
+        out = tmp_path / "out"
+        assert main(command + ["--input", str(data), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert quantity in err and "Traceback" not in err
         assert not out.exists()
 
     def test_bad_window_exits_2(self, tmp_path, capsys):
@@ -402,6 +442,37 @@ class TestSimulateSpecValidation:
         assert code == 2 and "sigma2" in err and str(float(sigma2)) in err
 
 
+class TestIoFaults:
+    """Unreadable inputs and unwritable outputs exit 2 with the path, never a traceback."""
+
+    @pytest.mark.parametrize("case", ["fit-input-dir", "simulate-spec-dir", "impute-out-dir",
+                                      "fit-out-file", "non-utf8-csv", "oversized-cell"])
+    def test_exits_2_naming_the_path(self, tmp_path, capsys, case):
+        data = tmp_path / "panel.csv"
+        write_plain_csv(data, np.random.default_rng(16).standard_normal((6, 8)))
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        bad = tmp_path / "bad.csv"
+        if case == "non-utf8-csv":
+            bad.write_bytes(b"1.0,2.0,3.0\n4.0,5.0,\xe96.0\n")
+        elif case == "oversized-cell":
+            bad.write_text("1.0,2.0\n" + "1" * 140_000 + ",2.0\n")
+        fit = ["fit", "--L", "1", "--out", str(tmp_path / "o")]
+        argv, path = {
+            "fit-input-dir": (fit + ["--input", str(folder)], folder),
+            "simulate-spec-dir": (["simulate", "--spec", str(folder), "--out", str(tmp_path / "o")],
+                                  folder),
+            "impute-out-dir": (["impute", "--input", str(data), "--out", str(folder)], folder),
+            "fit-out-file": (["fit", "--L", "1", "--input", str(data), "--out", str(data)], data),
+            "non-utf8-csv": (fit + ["--input", str(bad)], bad),
+            "oversized-cell": (fit + ["--input", str(bad)], bad),
+        }[case]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+
 class TestImputeCommand:
     def test_fills_gaps(self, tmp_path):
         src = tmp_path / "gappy.csv"
@@ -449,6 +520,7 @@ TABLE_COMMANDS = {
     "fit-L": ["fit", "--L", "1"],
     "fit-auto": ["fit", "--scree-auto", "--lmax", "4"],
     "fit-mean": ["fit", "--mean-only"],
+    "fit-trace": ["fit", "--L", "1", "--trace-curve", "3"],
     "test": ["test", "--thin", "2"],
     "scree": ["scree", "--lmax", "4", "--thin", "2"],
     "diagnose": ["diagnose", "--cols", "1:2", "--thin", "2"],
@@ -505,8 +577,10 @@ class TestCliFuzz:
             data = Path(tmp) / "table.csv"
             data.write_text(table)
             flags = ["--input", str(data)] + (["--header"] if header else [])
-            assert run_fuzzed(TABLE_COMMANDS[command] + flags + ["--out", f"{tmp}/o"]) in (0, 2, 3)
-            assert run_fuzzed(["impute"] + flags + ["--out", f"{tmp}/filled.csv"]) in (0, 2, 3)
+            for argv, out in ((TABLE_COMMANDS[command], "o"), (["impute"], "filled.csv")):
+                code = run_fuzzed(argv + flags + ["--out", f"{tmp}/{out}"])
+                assert code in (0, 2, 3)
+                assert code == 0 or not (Path(tmp) / out).exists()
 
     @settings(max_examples=200, deadline=None)
     @given(spec=specs())
