@@ -43,6 +43,7 @@ from .order import _scree_spectrum, plateau_fit, suggest_plateau_L
 from .panel import (
     ObservationPanel,
     SampleGrid,
+    _require_finite,
     _write_json,
     _write_rows,
     impute_missing,
@@ -117,9 +118,13 @@ def _cmd_fit(args) -> int:
     params = {"input": str(args.input), "header": args.header}
 
     if args.mean_only:
-        mu = panel.values.mean(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mu = panel.values.mean(axis=0)
+            resid = panel.values - mu
+        _require_finite(mu, "mean curve", "the panel is")
+        _require_finite(resid, "residual panel of the mean-only fit", "the panel is")
         signals = ObservationPanel(np.broadcast_to(mu, panel.values.shape), panel.grid)
-        residuals = ObservationPanel(panel.values - signals.values, panel.grid)
+        residuals = ObservationPanel(resid, panel.grid)
         out.mkdir(parents=True, exist_ok=True)
         save_panel(signals, out / "signals.csv")
         save_panel(residuals, out / "residuals.csv")
@@ -234,9 +239,7 @@ def _cmd_diagnose(args) -> int:
         xi = averaged_periodogram(residuals, sel)
     # NaN correlations of zero-variance columns are documented output, not a fault
     for name, values in (("autocovariance", acvf), ("covariance", cov), ("periodogram xi", xi)):
-        if not np.all(np.isfinite(values)):
-            raise NumericalError(f"residual {name} is not finite; "
-                                 "the residuals are too large for the float range")
+        _require_finite(values, f"residual {name}", "the residuals are")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

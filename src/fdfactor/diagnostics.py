@@ -21,10 +21,9 @@ from .errors import (
     DegenerateVarianceError,
     DimensionError,
     DomainError,
-    NumericalError,
     SelectionError,
 )
-from .panel import ObservationPanel, _readonly
+from .panel import ObservationPanel, _readonly, _require_finite
 
 
 def _as_values(residuals) -> np.ndarray:
@@ -233,7 +232,7 @@ def iid_noise_test(residuals, sel: FrequencySelection, sigma2: float | None = No
         for an all-zero residual panel after a saturated fit, or when its
         square under- or overflows the float range.
     NumericalError
-        When a periodogram ordinate xi overflows the float range.
+        When a periodogram ordinate xi, or a statistic, overflows the float range.
     """
     values = _as_values(residuals)
     T = values.shape[0]
@@ -243,15 +242,14 @@ def iid_noise_test(residuals, sel: FrequencySelection, sigma2: float | None = No
         s2_xi = float(np.sum((xi - xi.mean()) ** 2) / (f - 1))
         if sigma2 is None:
             sigma2 = gasser_variance(values)
-    if not np.all(np.isfinite(xi)):
-        raise NumericalError("residual periodogram xi is not finite; "
-                             "the residuals are too large for the float range")
-    if not (sigma2 > 0.0 and 0.0 < sigma2 * sigma2 < np.inf):
-        raise DegenerateVarianceError(
-            f"noise variance is {sigma2}; residuals are degenerate or beyond the float range"
-        )
-    lam_fin = (f - 1) * T * s2_xi / sigma2**2
-    lam_inf = (T * s2_xi / sigma2**2 - 1.0) * np.sqrt((f - 1) / 2.0)
+        _require_finite(xi, "residual periodogram xi", "the residuals are")
+        if not (sigma2 > 0.0 and 0.0 < sigma2 * sigma2 < np.inf):
+            raise DegenerateVarianceError(
+                f"noise variance is {sigma2}; residuals are degenerate or beyond the float range"
+            )
+        lam_fin = (f - 1) * T * s2_xi / sigma2**2
+        lam_inf = (T * s2_xi / sigma2**2 - 1.0) * np.sqrt((f - 1) / 2.0)
+    _require_finite((lam_fin, lam_inf), "noise-test statistic", "S^2_xi / sigma^4 is")
     return NoiseTestReport(
         sigma2_hat=float(sigma2),
         xi=xi,

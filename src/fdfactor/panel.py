@@ -17,7 +17,7 @@ from typing import IO, Iterable, Union
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, PanelFormatError
+from .errors import DimensionError, DomainError, NumericalError, PanelFormatError
 
 #: cell contents treated as missing when scanning raw tables
 MISSING_TOKENS = frozenset({"", "na", "nan", "null"})
@@ -29,6 +29,12 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)
     out.setflags(write=False)
     return out
+
+
+def _require_finite(values, quantity: str, source: str) -> None:
+    """Raise NumericalError naming ``quantity`` unless every entry of ``values`` is finite."""
+    if not np.all(np.isfinite(values)):
+        raise NumericalError(f"{quantity} is not finite; {source} too large for the float range")
 
 
 @dataclass(frozen=True)
@@ -97,7 +103,8 @@ class ObservationPanel:
                 f"panel has {vals.shape[1]} columns but the grid has {self.grid.p} points"
             )
         if not np.all(np.isfinite(vals)):
-            raise PanelFormatError("panel entries must all be finite")
+            r, c = np.argwhere(~np.isfinite(vals))[0] + 1
+            raise PanelFormatError(f"non-finite value at row {r}, column {c}")
         object.__setattr__(self, "values", vals)
 
     @property
@@ -173,10 +180,6 @@ def _parse_row(cells, row_label, allow_missing: bool = False):
             raise PanelFormatError(
                 f"could not parse {token!r} at row {row_label}, column {j + 1}"
             ) from None
-        if not allow_missing and not np.isfinite(out[j]):
-            raise PanelFormatError(
-                f"non-finite value at row {row_label}, column {j + 1}"
-            )
     return out
 
 

@@ -175,7 +175,7 @@ class SmoothDgpConfig:
             raise DomainError(f"AR coefficient must lie in [0, 1), got {self.theta_ar}")
         if self.p < 2 or self.T < 2:
             raise DimensionError("smooth DGP needs p >= 2 and T >= 2")
-        if self.sigma < 0 or self.signal_variance < 0:
+        if not (self.sigma >= 0 and self.signal_variance >= 0):
             raise DomainError("sigma and signal_variance must be nonnegative")
 
 
@@ -346,6 +346,14 @@ class SimulationSpec:
             raise DomainError("replications must be >= 1")
         if self.seed < 0:
             raise DomainError(f"seed must be nonnegative, got {self.seed}")
+        if not 0.0 <= self.cutoff < 1.0:
+            raise DomainError(f"cutoff must lie in [0, 1), got {self.cutoff}")
+        if self.thinning is not None and self.thinning < 1:
+            raise DomainError(f"thinning must be a positive integer, got {self.thinning}")
+        if self.l_fixed < 1:
+            raise DomainError(f"l_fixed (spec key 'l') must be >= 1, got {self.l_fixed}")
+        if self.scree_l_max < 4:
+            raise DomainError(f"scree_l_max must be >= 4, got {self.scree_l_max}")
         if tuple(self.levels) != _LEVELS:
             raise DomainError(f"levels must be {_LEVELS}, got {tuple(self.levels)}")
         object.__setattr__(self, "settings", tuple(self.settings))
@@ -423,9 +431,8 @@ def _run_sse_rep(spec, si, setting, ri):
 def _run_test_rep(spec, si, setting, ri):
     rng = replication_rng(spec.seed, si, ri)
     noise = gen_ar1_noise(setting.p, setting.T, setting.theta_ar, float(np.sqrt(setting.sigma2)), rng)
-    sel = _selection(setting.p, setting.T, spec.cutoff, spec.thinning)
     try:
-        rep = iid_noise_test(noise, sel)
+        rep = iid_noise_test(noise, _selection(setting.p, setting.T, spec.cutoff, spec.thinning))
         return (rep.lambda_fin, rep.lambda_inf, rep.p_fin, rep.p_inf)
     except REPLICATION_ERRORS:
         return None

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError, NumericalError, OrderError
-from .panel import ObservationPanel, SampleGrid, _readonly, _write_rows
+from .panel import ObservationPanel, SampleGrid, _readonly, _require_finite, _write_rows
 
 
 def eigh_descending(matrix: np.ndarray):
@@ -80,9 +80,7 @@ def _centered_eigh(values: np.ndarray, center: bool = True) -> _CenteredSpectrum
         mu = values.mean(axis=0) if center else np.zeros(p)
         Z = values - mu
         G = Z @ Z.T / T if T <= p else Z.T @ Z / T
-    if not np.all(np.isfinite(G)):
-        raise NumericalError("Gram matrix of the panel is not finite; "
-                             "the panel is too large for the float range")
+    _require_finite(G, "Gram matrix of the panel", "the panel is")
     vals, vecs = eigh_descending((G + G.T) / 2.0)
     return _CenteredSpectrum(mu, Z, vals, vecs)
 

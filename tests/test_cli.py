@@ -125,6 +125,17 @@ class TestFitCommand:
         signals = load_panel(out / "signals.csv", header=True)
         assert np.allclose(signals.values, signals.values.mean(axis=0))
 
+    def test_mean_only_overflow_exits_3(self, tmp_path, capsys):
+        values = np.random.default_rng(3).standard_normal((6, 8))
+        values[[1, 4], 3] = 1.7e308  # the column sum leaves the float range
+        data = tmp_path / "panel.csv"
+        write_plain_csv(data, values)
+        out = tmp_path / "out"
+        assert main(["fit", "--input", str(data), "--mean-only", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "mean curve is not finite" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestTestCommand:
     def test_json_report_schema(self, tmp_path, capsys):
@@ -159,6 +170,16 @@ class TestTestCommand:
         assert main(["test", "--input", str(data), "--sigma2", sigma2, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "--sigma2" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_overflowing_statistic_exits_3(self, tmp_path, capsys):
+        data = tmp_path / "resid.csv"
+        write_plain_csv(data, np.random.default_rng(0).standard_normal((10, 12)))
+        out = tmp_path / "report"
+        assert main(["test", "--input", str(data), "--sigma2", "1e-154", "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "noise-test statistic is not finite" in captured.err
         assert not out.exists()
 
     def test_strong_ar_noise_rejects_decisively(self, tmp_path, capsys):
@@ -433,6 +454,28 @@ class TestSimulateSpecValidation:
         code, err, _ = self.run(tmp_path, capsys, json.dumps({**self.BASE, "seed": -1}))
         assert code == 2 and "seed" in err
 
+    @pytest.mark.parametrize("fields, key", [
+        ({"cutoff": 1.5}, "cutoff"), ({"cutoff": -0.1}, "cutoff"), ({"thinning": 0}, "thinning"),
+        ({"l_policy": "plateau", "scree_l_max": 2}, "scree_l_max"), ({"l": 0}, "'l'"),
+        ({"dgp": "smooth", "signal_variance": "NaN"}, "signal_variance"),
+        ({"dgp": "smooth", "signal_variance": -1}, "signal_variance"),
+    ], ids=["cutoff-1.5", "cutoff-neg", "thinning-0", "scree_l_max-2", "l-0",
+            "signal_variance-nan", "signal_variance-neg"])
+    def test_value_outside_its_domain_exits_2(self, tmp_path, capsys, fields, key):
+        text = json.dumps({**self.BASE, **fields}).replace('"NaN"', "NaN")
+        code, err, _ = self.run(tmp_path, capsys, text)
+        assert code == 2 and key in err
+        assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("kind", ["sse", "noise-test"])
+    def test_selection_fault_of_a_setting_counts_as_failures(self, tmp_path, capsys, kind):
+        # one frequency survives cutoff 0.5 and thinning 3 at p=8: every replication fails
+        spec = {**self.BASE, "kind": kind, "settings": [{"p": 8, "T": 40, "sigma2": 0.05}],
+                "l_policy": "plateau", "cutoff": 0.5, "thinning": 3}
+        assert self.run(tmp_path, capsys, json.dumps(spec))[0] == 0
+        with open(tmp_path / "sim" / "summary.csv") as fh:
+            assert [row["failures"] for row in csv.DictReader(fh)] == ["2"]
+
     @pytest.mark.parametrize("dgp, kind", [("rough", "noise-test"), ("smooth", "sse")])
     @pytest.mark.parametrize("sigma2", [-1, "NaN"])
     def test_invalid_sigma2_exits_2(self, tmp_path, capsys, dgp, kind, sigma2):
@@ -471,6 +514,28 @@ class TestIoFaults:
         err = capsys.readouterr().err
         assert str(path) in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+
+class TestNonFiniteCell:
+    """A finite table with one non-finite cell exits 2 naming the cell's data row and column."""
+
+    @pytest.mark.parametrize("header", [False, True], ids=["plain", "header"])
+    @pytest.mark.parametrize("token", ["inf", "-Infinity", "1e400"])
+    @pytest.mark.parametrize("command", [["fit", "--L", "1"], ["test"], ["scree", "--lmax", "4"],
+                                         ["diagnose"]], ids=["fit", "test", "scree", "diagnose"])
+    def test_exits_2_naming_the_cell(self, tmp_path, capsys, command, token, header):
+        rows = [[repr(x) for x in row]
+                for row in np.random.default_rng(17).standard_normal((10, 12)).tolist()]
+        rows[6][4] = token
+        if header:
+            rows.insert(0, [repr((j + 0.5) / 12) for j in range(12)])
+        data = tmp_path / "panel.csv"
+        data.write_text("".join(",".join(row) + "\n" for row in rows))
+        out = tmp_path / "out"
+        argv = command + ["--input", str(data), "--out", str(out)] + (["--header"] if header else [])
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: non-finite value at row 7, column 5\n"
+        assert not out.exists()
 
 
 class TestImputeCommand:

@@ -149,8 +149,16 @@ class TestColumnMeanAndCenter:
 
 class TestPanelValidation:
     def test_rejects_nan(self):
-        with pytest.raises(PanelFormatError):
+        with pytest.raises(PanelFormatError, match="non-finite value at row 1, column 2"):
             make_panel([[1.0, np.nan], [0.0, 1.0]])
+
+    def test_names_the_first_non_finite_cell_in_row_order(self):
+        values = np.zeros((4, 5))
+        values[3, 0] = np.nan
+        values[2, 4] = -np.inf
+        values[2, 3] = np.inf
+        with pytest.raises(PanelFormatError, match=r"^non-finite value at row 3, column 4$"):
+            make_panel(values)
 
     def test_rejects_single_row(self):
         with pytest.raises(DimensionError):
