@@ -337,9 +337,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_impute(args) -> int:
     values, grid_points = read_table_with_missing(args.input, header=args.header)
     grid = SampleGrid(grid_points) if grid_points is not None else SampleGrid.midpoints(values.shape[1])
-    filled = impute_missing(values, grid)
-    panel = ObservationPanel(filled, grid)
-    save_panel(panel, args.out, header=args.header)
+    save_panel(ObservationPanel(impute_missing(values, grid), grid), args.out, header=args.header)
     return 0
 
 

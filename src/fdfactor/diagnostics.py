@@ -149,13 +149,18 @@ def averaged_periodogram(residuals, sel: FrequencySelection) -> np.ndarray:
     periodogram is |rfft(row)[l]|^2 / p; the FFT's k = 0..p-1 offset is a
     unit-modulus phase and leaves the modulus of :func:`periodogram` as is.
     """
-    values = _as_values(residuals)
+    return _xi(_retained_dft(_as_values(residuals), sel), sel.p)
+
+
+def _retained_dft(values: np.ndarray, sel: FrequencySelection) -> np.ndarray:
+    """T x f rfft coefficients of the rows at the retained indices; linear in the rows."""
     if values.shape[1] != sel.p:
-        raise DimensionError(
-            f"panel has {values.shape[1]} columns but the selection is for p={sel.p}"
-        )
-    coef = np.fft.rfft(values, axis=1)[:, sel.indices]
-    return (np.abs(coef) ** 2 / sel.p).mean(axis=0)
+        raise DimensionError(f"panel has {values.shape[1]} columns but the selection is for p={sel.p}")
+    return np.fft.rfft(values, axis=1)[:, sel.indices]
+
+
+def _xi(coef: np.ndarray, p: int) -> np.ndarray:
+    return (np.abs(coef) ** 2 / p).mean(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +178,15 @@ def gasser_variance(residuals) -> float:
     values = _as_values(residuals)
     if values.ndim != 2 or values.shape[1] < 3:
         raise DimensionError("the second-difference estimator needs p >= 3")
-    d2 = values[:, 2:] + values[:, :-2] - 2.0 * values[:, 1:-1]
-    p = values.shape[1]
-    return float(np.mean(np.sum(d2**2, axis=1) / (6.0 * (p - 2))))
+    return _gasser(_second_differences(values))
+
+
+def _second_differences(values: np.ndarray) -> np.ndarray:
+    return values[:, 2:] + values[:, :-2] - 2.0 * values[:, 1:-1]
+
+
+def _gasser(d2: np.ndarray) -> float:
+    return float(np.mean(np.sum(d2**2, axis=1) / (6.0 * d2.shape[1])))
 
 
 @dataclass(frozen=True)
@@ -235,32 +246,30 @@ def iid_noise_test(residuals, sel: FrequencySelection, sigma2: float | None = No
         When a periodogram ordinate xi, or a statistic, overflows the float range.
     """
     values = _as_values(residuals)
-    T = values.shape[0]
-    f = sel.f
+    T, f = values.shape[0], sel.f
     with np.errstate(over="ignore", invalid="ignore"):
         xi = averaged_periodogram(values, sel)
-        s2_xi = float(np.sum((xi - xi.mean()) ** 2) / (f - 1))
         if sigma2 is None:
             sigma2 = gasser_variance(values)
+    s2_xi, lam_fin, lam_inf = _noise_statistics(xi, sigma2, T, f)
+    return NoiseTestReport(
+        sigma2_hat=float(sigma2), xi=xi, s2_xi=s2_xi, lambda_fin=lam_fin, lambda_inf=lam_inf,
+        p_fin=chi2_upper_tail(lam_fin, f - 1), p_inf=normal_upper_tail(lam_inf), f=f, T=T,
+    )
+
+
+def _noise_statistics(xi: np.ndarray, sigma2: float, T: int, f: int) -> tuple:
+    """(S^2_xi, lambda_fin, lambda_inf) of :func:`iid_noise_test`, after its finiteness checks."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s2_xi = float(np.sum((xi - xi.mean()) ** 2) / (f - 1))
         _require_finite(xi, "residual periodogram xi", "the residuals are")
         if not (sigma2 > 0.0 and 0.0 < sigma2 * sigma2 < np.inf):
-            raise DegenerateVarianceError(
-                f"noise variance is {sigma2}; residuals are degenerate or beyond the float range"
-            )
+            raise DegenerateVarianceError(f"noise variance is {sigma2}; residuals are degenerate "
+                                          "or beyond the float range")
         lam_fin = (f - 1) * T * s2_xi / sigma2**2
         lam_inf = (T * s2_xi / sigma2**2 - 1.0) * np.sqrt((f - 1) / 2.0)
     _require_finite((lam_fin, lam_inf), "noise-test statistic", "S^2_xi / sigma^4 is")
-    return NoiseTestReport(
-        sigma2_hat=float(sigma2),
-        xi=xi,
-        s2_xi=s2_xi,
-        lambda_fin=float(lam_fin),
-        lambda_inf=float(lam_inf),
-        p_fin=chi2_upper_tail(lam_fin, f - 1),
-        p_inf=normal_upper_tail(lam_inf),
-        f=f,
-        T=T,
-    )
+    return s2_xi, float(lam_fin), float(lam_inf)
 
 
 # ---------------------------------------------------------------------------

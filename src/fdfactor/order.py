@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .diagnostics import FrequencySelection, iid_noise_test
+from .diagnostics import FrequencySelection, _gasser, _noise_statistics, _retained_dft, _second_differences, _xi
 from .errors import DimensionError, DomainError, OrderError
 from .factor import _fit_spectrum
 from .panel import ObservationPanel, _readonly
@@ -81,10 +81,10 @@ def classic_scree(system: EigenSystem, l_max: int) -> ScreeCurve:
 def lambda_scree(panel: ObservationPanel, l_max: int, sel: FrequencySelection) -> ScreeCurve:
     """lambda_inf of the residuals after fitting l factors, for l = 1..l_max.
 
-    A single eigendecomposition of the centered panel is reused for all
-    orders: the rank-l residual is obtained from the rank-(l-1) one by
-    peeling off one more eigendirection, which reproduces the per-l fits
-    exactly.
+    One eigendecomposition and one transform of the centered panel serve
+    all orders: its retained DFT coefficients and second differences are
+    linear in each row, so order l peels one more eigendirection off both
+    blocks.  This agrees with per-l fits and :func:`iid_noise_test` to rounding.
     """
     return _scree_spectrum(_centered_eigh(panel.values), l_max, sel)
 
@@ -93,14 +93,14 @@ def _scree_spectrum(spectrum: _CenteredSpectrum, l_max: int, sel: FrequencySelec
     """:func:`lambda_scree` with the centered eigensystem already computed."""
     T, p = spectrum.centered.shape
     if not 1 <= l_max <= min(T - 1, p):
-        raise OrderError(
-            f"l_max must lie in 1..min(T-1, p) = {min(T - 1, p)}, got {l_max}"
-        )
-    resid = spectrum.centered.copy()
+        raise OrderError(f"l_max must lie in 1..min(T-1, p) = {min(T - 1, p)}, got {l_max}")
+    C, D = _retained_dft(spectrum.centered, sel), _second_differences(spectrum.centered)
     stats = []
-    for e in spectrum.leading_vectors(l_max, "t").T:
-        resid -= np.outer(e, e @ resid)
-        stats.append(iid_noise_test(resid, sel).lambda_inf)
+    with np.errstate(over="ignore", invalid="ignore"):  # _noise_statistics names any overflow
+        for e in spectrum.leading_vectors(l_max, "t").T:
+            C -= np.outer(e, e @ C)
+            D -= np.outer(e, e @ D)
+            stats.append(_noise_statistics(_xi(C, p), _gasser(D), T, sel.f)[2])
     return ScreeCurve(
         orders=np.arange(1, l_max + 1),
         values=np.asarray(stats),

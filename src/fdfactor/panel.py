@@ -37,6 +37,13 @@ def _require_finite(values, quantity: str, source: str) -> None:
         raise NumericalError(f"{quantity} is not finite; {source} too large for the float range")
 
 
+def _reject_cells(bad: np.ndarray) -> None:
+    """Raise PanelFormatError naming the first flagged cell of a table, in row order."""
+    if bad.any():
+        r, c = np.argwhere(bad)[0] + 1
+        raise PanelFormatError(f"non-finite value at row {r}, column {c}")
+
+
 @dataclass(frozen=True)
 class SampleGrid:
     """Strictly increasing sampling points s_1 < ... < s_p inside [0, 1]."""
@@ -102,9 +109,7 @@ class ObservationPanel:
             raise DimensionError(
                 f"panel has {vals.shape[1]} columns but the grid has {self.grid.p} points"
             )
-        if not np.all(np.isfinite(vals)):
-            r, c = np.argwhere(~np.isfinite(vals))[0] + 1
-            raise PanelFormatError(f"non-finite value at row {r}, column {c}")
+        _reject_cells(~np.isfinite(vals))
         object.__setattr__(self, "values", vals)
 
     @property
@@ -293,17 +298,18 @@ def impute_missing(values: np.ndarray, grid: SampleGrid) -> np.ndarray:
 
     Interior gaps are interpolated against the grid positions; gaps at
     either edge copy the nearest observed value.  A row with no observed
-    value at all cannot be imputed.
+    value at all cannot be imputed, and an infinite cell is a fault, not a gap.
     """
     values = np.asarray(values, dtype=float)
     if values.shape[1] != grid.p:
         raise DimensionError(
             f"table has {values.shape[1]} columns but the grid has {grid.p} points"
         )
+    _reject_cells(np.isinf(values))
     out = values.copy()
     s = grid.points
     for i, row in enumerate(out):
-        known = np.isfinite(row)
+        known = ~np.isnan(row)
         if known.all():
             continue
         if not known.any():

@@ -249,6 +249,16 @@ class TestScreeCommand:
         assert [float(r["lambda_inf"]) for r in rows] == lam.tolist()
 
 
+    def test_constant_rows_exit_3(self, tmp_path, capsys):
+        data = tmp_path / "flat.csv"
+        write_plain_csv(data, np.outer(np.random.default_rng(6).standard_normal(20), np.ones(30)))
+        out = tmp_path / "scree"
+        assert main(["scree", "--input", str(data), "--lmax", "4", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == ("numerical error: noise variance is 0.0; residuals are "
+                                           "degenerate or beyond the float range\n")
+        assert not out.exists()
+
+
 class TestDiagnoseCommand:
     def test_exports_and_window(self, tmp_path):
         data = tmp_path / "resid.csv"
@@ -554,6 +564,22 @@ class TestImputeCommand:
         assert main(["impute", "--input", str(src), "--header", "--out", str(out)]) == 0
         panel = load_panel(out, header=True)
         assert np.allclose(panel.values, [[2.0, 2.0, 4.0], [1.0, 2.0, 3.0]])
+
+    def test_missing_tokens_fill_to_exact_bytes(self, tmp_path):
+        src = tmp_path / "gappy.csv"
+        src.write_text("0.0,NA,2.0,\nnull,1.5,nan,3.0\n4.0,4.0,NaN,na\n")
+        out = tmp_path / "filled.csv"
+        assert main(["impute", "--input", str(src), "--out", str(out)]) == 0
+        assert out.read_text() == "0.0,1.0,2.0,2.0\n1.5,1.5,2.25,3.0\n4.0,4.0,4.0,4.0\n"
+
+    @pytest.mark.parametrize("token", ["inf", "-Infinity", "1e400"])
+    def test_non_finite_cell_is_a_fault_not_a_gap(self, tmp_path, capsys, token):
+        src = tmp_path / "table.csv"
+        src.write_text(f"1.0,2.0,3.0\n1.0,NA,2.0\n1.0,{token},3.0\n")
+        out = tmp_path / "filled.csv"
+        assert main(["impute", "--input", str(src), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: non-finite value at row 3, column 2\n"
+        assert not out.exists()
 
 
 #: malformed cells; a fuzzed table is a numeric one with a few of these patched in

@@ -190,7 +190,32 @@ class TestGasserVariance:
             gasser_variance(make_panel(np.zeros((3, 2))))
 
 
+def noise_test_formula(values, sel, sigma2=None):
+    """The noise-test statistics written out step by step, with their upper-tail p-values."""
+    T, f = values.shape[0], sel.f
+    xi = averaged_periodogram(values, sel)
+    s2_xi = float(np.sum((xi - xi.mean()) ** 2) / (f - 1))
+    if sigma2 is None:
+        sigma2 = gasser_variance(values)
+    lam_fin = (f - 1) * T * s2_xi / sigma2**2
+    lam_inf = (T * s2_xi / sigma2**2 - 1.0) * np.sqrt((f - 1) / 2.0)
+    return {"sigma2_hat": float(sigma2), "s2_xi": s2_xi, "lambda_fin": float(lam_fin),
+            "lambda_inf": float(lam_inf), "p_fin": chi2_upper_tail(lam_fin, f - 1),
+            "p_inf": normal_upper_tail(lam_inf), "f": f, "T": T, "xi": xi}
+
+
 class TestIidNoiseTest:
+    @pytest.mark.parametrize("sigma2", [None, 1.7])
+    def test_matches_the_formula_exactly(self, sigma2):
+        # several fixed panels, so that a reordered rounding step shows on one of them
+        for seed in range(8):
+            values = gen_ar1_noise(60, 40, 0.3, 1.5, seed)
+            sel = select_frequencies(60, 0.1, 2)
+            report = iid_noise_test(values, sel, sigma2=sigma2)
+            expected = noise_test_formula(values, sel, sigma2)
+            assert np.array_equal(report.xi, expected.pop("xi"))
+            assert {k: getattr(report, k) for k in expected} == expected
+
     def test_impulse_rows_give_zero_statistic(self):
         p = 10
         rows = np.zeros((4, p))

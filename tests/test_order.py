@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from fdfactor import (
+    DegenerateVarianceError,
     DimensionError,
     DomainError,
+    NumericalError,
     ObservationPanel,
     OrderError,
     RoughDgpConfig,
@@ -17,8 +19,10 @@ from fdfactor import (
     gen_ar1_noise,
     gen_rough_signals,
     gen_spline_signals,
+    iid_noise_test,
     lambda_scree,
     plateau_fit,
+    residual_panel,
     select_frequencies,
     suggest_plateau_L,
 )
@@ -32,6 +36,21 @@ def make_panel(values):
 def rough_observation(p, T, sigma2, rng):
     signals, _ = gen_rough_signals(RoughDgpConfig(p=p, T=T, sigma2=sigma2), rng)
     return add_noise(signals, gen_ar1_noise(p, T, 0.0, np.sqrt(sigma2), rng))
+
+
+def factor_observation(T, p, noise_sd, rng):
+    """Mean curve + 3 factors with random-walk loadings (power above any cutoff) + iid noise."""
+    s = (np.arange(p) + 0.5) / p
+    white = rng.standard_normal((3, p))
+    loadings = 3.0 * np.cumsum(white, axis=1) / np.sqrt(p) + white
+    scores = rng.standard_normal((T, 3)) * np.array([3.0, 2.0, 1.2])
+    return make_panel(10.0 + np.sin(2 * np.pi * s) + scores @ loadings
+                      + noise_sd * rng.standard_normal((T, p)))
+
+
+def per_order_lambda(panel, orders, sel):
+    """lambda_inf of an independent fit at each order, the scree's reference."""
+    return [iid_noise_test(residual_panel(fit(panel, l)), sel).lambda_inf for l in orders]
 
 
 def stat_curve(values):
@@ -72,8 +91,6 @@ class TestClassicScree:
 
 class TestLambdaScree:
     def test_matches_independent_per_order_fits(self):
-        from fdfactor import iid_noise_test, residual_panel
-
         rng = np.random.default_rng(3)
         panel = rough_observation(30, 60, 0.1, rng)
         sel = select_frequencies(30, 0.1, 1)
@@ -81,6 +98,16 @@ class TestLambdaScree:
         for l in range(1, 6):
             direct = iid_noise_test(residual_panel(fit(panel, l)), sel).lambda_inf
             assert curve.values[l - 1] == pytest.approx(direct, rel=1e-8, abs=1e-8)
+
+    @pytest.mark.parametrize("noise_sd", [0.5, 0.01, 1e-4])
+    @pytest.mark.parametrize("T, p", [(40, 90), (150, 36)], ids=["T<p", "T>p"])
+    def test_block_peel_agrees_with_per_order_fits(self, T, p, noise_sd):
+        # both the DFT block and the second-difference block must be peeled:
+        # either one left whole keeps the factors in xi or in sigma^2
+        panel = factor_observation(T, p, noise_sd, np.random.default_rng(T + p))
+        sel = select_frequencies(p, 0.1, 1)
+        curve = lambda_scree(panel, 6, sel)
+        assert curve.values == pytest.approx(per_order_lambda(panel, range(1, 7), sel), rel=1e-8)
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)
@@ -132,6 +159,31 @@ class TestLambdaScree:
         tail = curve.values[19:]
         full_range = curve.values.max() - curve.values.min()
         assert (tail.max() - tail.min()) <= 0.02 * full_range
+
+
+class TestDegenerateScreeInputs:
+    @pytest.mark.parametrize("T, p", [(20, 30), (50, 12)], ids=["T<p", "T>p"])
+    def test_constant_rows_have_no_noise_variance(self, T, p):
+        panel = make_panel(np.outer(np.random.default_rng(6).standard_normal(T), np.ones(p)))
+        with pytest.raises(DegenerateVarianceError, match=r"^noise variance is 0\.0; residuals "
+                           "are degenerate or beyond the float range$"):
+            lambda_scree(panel, 4, select_frequencies(p, 0.1, 1))
+
+    @pytest.mark.parametrize("T, p", [(20, 30), (60, 12)], ids=["T<p", "T>p"])
+    def test_rank_two_panel(self, T, p):
+        # from order 2 on the residual is rounding noise: each order is finite
+        # or a named numerical fault, never a RuntimeWarning (an error under pytest)
+        rng = np.random.default_rng(7)
+        panel = make_panel(5.0 + rng.standard_normal((T, 2)) @ rng.standard_normal((2, p)))
+        sel = select_frequencies(p, 0.1, 1)
+        first = lambda_scree(panel, 1, sel).values
+        assert first == pytest.approx(per_order_lambda(panel, [1], sel), rel=1e-8)
+        for l_max in range(2, 7):
+            try:
+                values = lambda_scree(panel, l_max, sel).values
+            except NumericalError:
+                continue
+            assert np.all(np.isfinite(values))
 
 
 class TestPlateauRule:

@@ -187,6 +187,11 @@ class TestImpute:
         out = impute_missing(vals, grid)
         assert np.allclose(out[0], [2, 2, 3, 3])
 
+    def test_infinite_cell_is_named_not_filled(self):
+        grid = SampleGrid.midpoints(3)
+        with pytest.raises(PanelFormatError, match=r"^non-finite value at row 2, column 1$"):
+            impute_missing(np.array([[np.nan, 2.0, 3.0], [-np.inf, np.nan, 1.0]]), grid)
+
     def test_all_missing_row_rejected(self):
         grid = SampleGrid.midpoints(3)
         with pytest.raises(PanelFormatError, match="row 1"):
