@@ -123,11 +123,9 @@ def _cmd_fit(args) -> int:
             resid = panel.values - mu
         _require_finite(mu, "mean curve", "the panel is")
         _require_finite(resid, "residual panel of the mean-only fit", "the panel is")
-        signals = ObservationPanel(np.broadcast_to(mu, panel.values.shape), panel.grid)
-        residuals = ObservationPanel(resid, panel.grid)
         out.mkdir(parents=True, exist_ok=True)
-        save_panel(signals, out / "signals.csv")
-        save_panel(residuals, out / "residuals.csv")
+        _write_rows(out / "signals.csv", [mu] * panel.T, panel.grid.points)
+        _write_rows(out / "residuals.csv", resid, panel.grid.points)
         _write_rows(out / "muhat.csv", [mu], panel.grid.points)
         params["mode"] = "mean-only"
         _write_manifest(out, "fit", params, {"input": args.input})

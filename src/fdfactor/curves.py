@@ -46,27 +46,15 @@ def interpolate(fit_result: FactorFit, t: int) -> PiecewiseLinearCurve:
 def evaluate(curve: PiecewiseLinearCurve, s):
     """Evaluate the interpolant at s in [0, 1] (scalar or array).
 
-    Exact knot hits return the stored knot value without arithmetic; the
+    This is ``np.interp``, the rule :func:`~fdfactor.panel.impute_missing`
+    fills gaps with: exact knot hits return the stored knot value, and the
     boundary knot value extends constantly over [0, s_1] and [s_p, 1].
     """
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr < 0.0) or np.any(s_arr > 1.0):
         raise DomainError("evaluation points must lie in [0, 1]")
-    pts = curve.grid.points
-    vals = curve.knot_values
-
-    idx = np.clip(np.searchsorted(pts, s_arr, side="right") - 1, 0, pts.size - 2)
-    left = pts[idx]
-    width = pts[idx + 1] - left
-    frac = (s_arr - left) / width
-    out = vals[idx] + (vals[idx + 1] - vals[idx]) * frac
-    out = np.where(s_arr <= pts[0], vals[0], out)
-    out = np.where(s_arr >= pts[-1], vals[-1], out)
-    exact = s_arr == left
-    out = np.where(exact, vals[idx], out)
-    if np.isscalar(s) or s_arr.ndim == 0:
-        return float(out)
-    return out
+    out = np.interp(s_arr, curve.grid.points, curve.knot_values)
+    return float(out) if s_arr.ndim == 0 else out
 
 
 def dense_trace(curve: PiecewiseLinearCurve, n: int = 1000) -> np.ndarray:

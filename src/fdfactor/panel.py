@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, NumericalError, PanelFormatError
 
-#: cell contents treated as missing when scanning raw tables
+#: cell contents read as a missing cell, NaN; any other spelling of NaN
+#: (``-nan``, ``+NaN``) parses to NaN and is the same missing cell
 MISSING_TOKENS = frozenset({"", "na", "nan", "null"})
 
 Source = Union[str, os.PathLike, IO[str]]
@@ -37,11 +38,11 @@ def _require_finite(values, quantity: str, source: str) -> None:
         raise NumericalError(f"{quantity} is not finite; {source} too large for the float range")
 
 
-def _reject_cells(bad: np.ndarray) -> None:
+def _reject_cells(bad: np.ndarray, fault: str = "non-finite value at row {r}, column {c}") -> None:
     """Raise PanelFormatError naming the first flagged cell of a table, in row order."""
     if bad.any():
         r, c = np.argwhere(bad)[0] + 1
-        raise PanelFormatError(f"non-finite value at row {r}, column {c}")
+        raise PanelFormatError(fault.format(r=r, c=c))
 
 
 @dataclass(frozen=True)
@@ -167,18 +168,14 @@ def _iter_rows(source: Source) -> Iterable[list]:
         raise PanelFormatError(f"{where}: not a readable CSV text table ({exc})") from None
 
 
-def _parse_row(cells, row_label, allow_missing: bool = False):
+def _parse_row(cells, row_label):
+    """Parse one CSV row; a ``MISSING_TOKENS`` cell reads as NaN, like any spelling of NaN."""
     out = np.empty(len(cells))
     for j, cell in enumerate(cells):
         token = cell.strip()
         if token.lower() in MISSING_TOKENS:
-            if allow_missing:
-                out[j] = np.nan
-                continue
-            raise PanelFormatError(
-                f"missing value at row {row_label}, column {j + 1}; "
-                "run the 'impute' command first"
-            )
+            out[j] = np.nan
+            continue
         try:
             out[j] = float(token)
         except ValueError:
@@ -198,7 +195,7 @@ def _read_rows(source: Source, header: bool):
     return _parse_row(rows[0], "1 (header)"), rows[1:]
 
 
-def _parse_rows(rows, allow_missing: bool) -> np.ndarray:
+def _parse_rows(rows) -> np.ndarray:
     width = len(rows[0])
     data = np.empty((len(rows), width))
     for i, cells in enumerate(rows):
@@ -206,7 +203,7 @@ def _parse_rows(rows, allow_missing: bool) -> np.ndarray:
             raise PanelFormatError(
                 f"row {i + 1} has {len(cells)} values, expected {width}"
             )
-        data[i] = _parse_row(cells, i + 1, allow_missing)
+        data[i] = _parse_row(cells, i + 1)
     return data
 
 
@@ -235,7 +232,9 @@ def load_panel(source: Source, header: bool = False) -> ObservationPanel:
     width = len(rows[0])
     if width < 2:
         raise DimensionError(f"a panel needs at least two columns, got {width}")
-    data = _parse_rows(rows, allow_missing=False)
+    data = _parse_rows(rows)
+    _reject_cells(np.isnan(data), "missing value at row {r}, column {c}; "
+                  "run the 'impute' command first")
     if grid is None:
         grid = SampleGrid.midpoints(width)
     return ObservationPanel(data, grid)
@@ -283,14 +282,14 @@ def save_panel(panel: ObservationPanel, dest: Source, header: bool = True) -> No
 
 
 def read_table_with_missing(source: Source, header: bool = False):
-    """Read a table like :func:`load_panel` but keep missing cells as NaN.
+    """Read a table like :func:`load_panel` but keep its missing cells, which read as NaN.
 
     Returns ``(values, grid_points_or_None)``; used by the impute pre-pass.
     """
     grid_points, rows = _read_rows(source, header)
     if not rows:
         raise DimensionError("no data rows")
-    return _parse_rows(rows, allow_missing=True), grid_points
+    return _parse_rows(rows), grid_points
 
 
 def impute_missing(values: np.ndarray, grid: SampleGrid) -> np.ndarray:

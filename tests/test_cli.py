@@ -526,13 +526,18 @@ class TestIoFaults:
         assert not (tmp_path / "o").exists()
 
 
+#: the table commands that reject a bad cell by name
+CELL_COMMANDS = [pytest.param(argv, id=argv[0]) for argv in
+                 (["fit", "--L", "1"], ["test"], ["scree", "--lmax", "4"], ["diagnose"])]
+NAN_SPELLINGS = ["nan", "NaN", "-nan", "+nan", "-NaN", "+NaN"]
+
+
 class TestNonFiniteCell:
     """A finite table with one non-finite cell exits 2 naming the cell's data row and column."""
 
     @pytest.mark.parametrize("header", [False, True], ids=["plain", "header"])
     @pytest.mark.parametrize("token", ["inf", "-Infinity", "1e400"])
-    @pytest.mark.parametrize("command", [["fit", "--L", "1"], ["test"], ["scree", "--lmax", "4"],
-                                         ["diagnose"]], ids=["fit", "test", "scree", "diagnose"])
+    @pytest.mark.parametrize("command", CELL_COMMANDS)
     def test_exits_2_naming_the_cell(self, tmp_path, capsys, command, token, header):
         rows = [[repr(x) for x in row]
                 for row in np.random.default_rng(17).standard_normal((10, 12)).tolist()]
@@ -582,11 +587,50 @@ class TestImputeCommand:
         assert not out.exists()
 
 
+class TestGapRule:
+    """NaN in any spelling is a missing cell: impute fills it, every other command names it."""
+
+    @pytest.mark.parametrize("token", NAN_SPELLINGS)
+    def test_impute_fills_it_like_na(self, tmp_path, token):
+        table = "0.0,{},2.0,4.0\n1.0,1.0,1.0,1.0\n{},3.0,3.0,{}\n"
+        written = []
+        for cell in ("NA", token):
+            src, out = tmp_path / f"in-{cell}.csv", tmp_path / f"out-{cell}.csv"
+            src.write_text(table.format(cell, cell, cell))
+            assert main(["impute", "--input", str(src), "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[1] == written[0] == b"0.0,1.0,2.0,4.0\n1.0,1.0,1.0,1.0\n3.0,3.0,3.0,3.0\n"
+
+    @pytest.mark.parametrize("token", NAN_SPELLINGS)
+    @pytest.mark.parametrize("command", CELL_COMMANDS)
+    def test_table_commands_name_it(self, tmp_path, capsys, command, token):
+        rows = [[repr(x) for x in row]
+                for row in np.random.default_rng(18).standard_normal((10, 12)).tolist()]
+        rows[6][4] = token
+        rows[8][2] = "inf"  # a missing cell is reported before a non-finite one
+        data = tmp_path / "panel.csv"
+        data.write_text("".join(",".join(row) + "\n" for row in rows))
+        out = tmp_path / "out"
+        assert main(command + ["--input", str(data), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: missing value at row 7, column 5; run the 'impute' command first\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["fit", "--L", "1"], ["impute"]], ids=["fit", "impute"])
+    def test_empty_header_cell_is_a_bad_grid_point(self, tmp_path, capsys, command):
+        data = tmp_path / "panel.csv"
+        data.write_text("0.25,,0.75\n1.0,2.0,3.0\n4.0,5.0,6.0\n")
+        out = tmp_path / "out"
+        assert main(command + ["--header", "--input", str(data), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: grid points must be finite\n"
+        assert not out.exists()
+
+
 #: malformed cells; a fuzzed table is a numeric one with a few of these patched in
 BAD_CELLS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
-    st.sampled_from(["", " ", "na", "NaN", "null", "inf", "-Infinity", "1e400", "1,5",
-                     '"2"', "abc", "0x10", "1_0", "\t3 ", "--1"]),
+    st.sampled_from(["", " ", "na", "NaN", "-nan", "+NaN", "null", "inf", "-Infinity", "1e400",
+                     "1,5", '"2"', "abc", "0x10", "1_0", "\t3 ", "--1"]),
 )
 NUMBERS = st.one_of(st.floats(-100.0, 100.0), st.sampled_from([0.0, 1e300, -1e-300, 5e-324]))
 

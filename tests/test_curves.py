@@ -14,6 +14,7 @@ from fdfactor import (
     fit,
     gen_ar1_noise,
     gen_rough_signals,
+    impute_missing,
     interpolate,
     rough_components,
 )
@@ -84,6 +85,22 @@ class TestEvaluate:
         curve = PiecewiseLinearCurve(SampleGrid.midpoints(5), np.arange(5.0))
         mesh = np.linspace(0, 1, 50)
         assert np.array_equal(evaluate(curve, mesh), [evaluate(curve, s) for s in mesh])
+
+
+class TestSharedWithImpute:
+    def test_imputed_gaps_are_the_curve_through_the_observed_cells(self):
+        # one interpolation rule: impute fills a gap with evaluate of the row's
+        # observed cells, bit for bit, the constant extension at both ends included
+        rng = np.random.default_rng(4)
+        grid = SampleGrid.midpoints(365)
+        row = rng.standard_normal(365)
+        gaps = np.zeros(365, dtype=bool)
+        gaps[rng.choice(np.arange(1, 364), 28, replace=False)] = True
+        gaps[[0, 364]] = True
+        filled = impute_missing(np.vstack([np.where(gaps, np.nan, row), row]), grid)[0]
+        curve = PiecewiseLinearCurve(SampleGrid(grid.points[~gaps]), row[~gaps])
+        assert np.array_equal(filled[gaps], evaluate(curve, grid.points[gaps]))
+        assert np.array_equal(filled[~gaps], row[~gaps])
 
 
 class TestInterpolate:
