@@ -51,7 +51,7 @@ def evaluate(curve: PiecewiseLinearCurve, s):
     boundary knot value extends constantly over [0, s_1] and [s_p, 1].
     """
     s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr < 0.0) or np.any(s_arr > 1.0):
+    if not np.all((0.0 <= s_arr) & (s_arr <= 1.0)):
         raise DomainError("evaluation points must lie in [0, 1]")
     out = np.interp(s_arr, curve.grid.points, curve.knot_values)
     return float(out) if s_arr.ndim == 0 else out

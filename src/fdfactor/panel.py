@@ -185,8 +185,39 @@ def _parse_row(cells, row_label):
     return out
 
 
+def _c_reader_lines(fh):
+    """Lines of ``fh`` for ``np.loadtxt``; ValueError where it would read them unlike csv."""
+    limit, seen = csv.field_size_limit(), False
+    for line in fh:
+        if len(line) > limit:
+            raise ValueError("line longer than the csv field limit")
+        seen = seen or bool(line.strip("\r\n"))
+        yield line
+    if not seen:
+        raise ValueError("no data")  # loadtxt would only warn
+
+
+def _read_bulk(source: Source):
+    """A path's table as floats by numpy's C reader, or None to leave it to the per-cell pass."""
+    if hasattr(source, "read"):
+        return None
+    try:
+        with open(source, "r", newline="") as fh:
+            return np.loadtxt(_c_reader_lines(fh), delimiter=",", comments=None,
+                              quotechar=None, ndmin=2)
+    except ValueError:  # a UnicodeDecodeError too: the per-cell pass names it
+        return None
+
+
 def _read_rows(source: Source, header: bool):
-    """Non-empty CSV rows of a table, with the parsed header row split off."""
+    """Non-empty rows of a table, with the parsed header row split off.
+
+    The C reader converts a table it wholly accepts; the per-cell pass takes
+    every other table and alone defines what parses and names every fault.
+    """
+    rows = _read_bulk(source)
+    if rows is not None:
+        return (rows[0], rows[1:]) if header else (None, rows)
     rows = [r for r in _iter_rows(source) if r]
     if not header:
         return None, rows
@@ -196,6 +227,8 @@ def _read_rows(source: Source, header: bool):
 
 
 def _parse_rows(rows) -> np.ndarray:
+    if isinstance(rows, np.ndarray):
+        return rows
     width = len(rows[0])
     data = np.empty((len(rows), width))
     for i, cells in enumerate(rows):
@@ -287,7 +320,7 @@ def read_table_with_missing(source: Source, header: bool = False):
     Returns ``(values, grid_points_or_None)``; used by the impute pre-pass.
     """
     grid_points, rows = _read_rows(source, header)
-    if not rows:
+    if len(rows) == 0:
         raise DimensionError("no data rows")
     return _parse_rows(rows), grid_points
 

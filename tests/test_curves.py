@@ -67,7 +67,7 @@ class TestEvaluate:
 
     def test_domain_error(self):
         curve = PiecewiseLinearCurve(SampleGrid.midpoints(4), np.ones(4))
-        for bad in (-0.1, 1.1):
+        for bad in (-0.1, 1.1, float("nan"), np.array([0.5, np.nan]), np.array([[np.nan]])):
             with pytest.raises(DomainError):
                 evaluate(curve, bad)
 

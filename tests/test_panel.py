@@ -2,7 +2,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fdfactor import (
@@ -17,6 +17,9 @@ from fdfactor import (
     load_panel,
     save_panel,
 )
+from fdfactor import panel as panel_module
+from fdfactor.cli import main
+from fdfactor.panel import read_table_with_missing
 
 
 def make_panel(values):
@@ -196,3 +199,98 @@ class TestImpute:
         grid = SampleGrid.midpoints(3)
         with pytest.raises(PanelFormatError, match="row 1"):
             impute_missing(np.array([[np.nan] * 3, [1.0, 2.0, 3.0]]), grid)
+
+
+#: the cells of ``TestCliFuzz`` in tests/test_cli.py, plus tokens on which
+#: numpy's C reader and Python's ``float()`` part ways
+READER_CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["", " ", "na", "NaN", "-nan", "+NaN", "null", "inf", "-Infinity", "1e400",
+                     "1,5", '"2"', "abc", "0x10", "1_0", "\t3 ", "--1",
+                     "1_000", "１２", "٣", '"5"', '"1,2"', "1e5_0", "1d5", "\ufeff1", "#1",
+                     "\x00", "1\x00", "\xa01\xa0", "\x851", "\x0b1\x0c", "\x1c1"]),
+    st.just("1" * 131_073),
+)
+READER_NUMBERS = st.one_of(st.floats(-100.0, 100.0), st.sampled_from([0.0, 1e300, -1e-300, 5e-324]))
+
+
+@st.composite
+def table_texts(draw):
+    """Mostly clean tables with a few bad cells, ragged or blank lines and mixed line ends."""
+    T, p = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    rows = [[repr(draw(READER_NUMBERS)) for _ in range(p)] for _ in range(T)]
+    for i, j, cell in draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), READER_CELLS),
+                                    max_size=2)):
+        if i < T and j < p:
+            rows[i][j] = cell
+    for i, width in draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 6)), max_size=1)):
+        if i < T:
+            rows[i] = rows[i][:width]
+    lines = [",".join(row) for row in rows]
+    for i, blank in draw(st.lists(st.tuples(st.integers(0, 6), st.sampled_from(["", " ", "\t"])),
+                                  max_size=2)):
+        lines.insert(min(i, len(lines)), blank)
+    ends = draw(st.lists(st.sampled_from(["\n", "\r", "\r\n"]), min_size=len(lines),
+                         max_size=len(lines)))
+    if ends and draw(st.booleans()):
+        ends[-1] = ""  # no line end after the last line
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _outcome(read, source, header):
+    """Values and grid as bytes, or the exception's type and message."""
+    try:
+        values, grid = read(source, header)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return values.shape, values.tobytes(), None if grid is None else grid.tobytes()
+
+
+def _load(source, header):
+    panel = load_panel(source, header=header)
+    return panel.values, panel.grid.points
+
+
+class TestReaderPaths:
+    """A path tries numpy's C reader; a stream always takes the per-cell reader."""
+
+    @pytest.mark.filterwarnings("error")  # loadtxt only warns on a table of blank lines
+    @settings(max_examples=400)
+    @given(text=table_texts(), header=st.booleans(),
+           read=st.sampled_from([_load, read_table_with_missing]))
+    @example(text="\n\r\n\r", header=True, read=_load)
+    @example(text="\r\n", header=True, read=read_table_with_missing)
+    def test_path_and_stream_agree_bit_for_bit(self, tmp_path_factory, text, header, read):
+        path = tmp_path_factory.mktemp("reader") / "table.csv"
+        path.write_bytes(text.encode("utf-8"))
+        path = str(path)
+        stream = io.StringIO(text, newline="")
+        stream.name = path  # the per-cell reader names a stream's fault by its name
+        assert _outcome(read, path, header) == _outcome(read, stream, header)
+
+    @pytest.mark.parametrize("header", [False, True])
+    @pytest.mark.parametrize("argv", [["fit", "--L", "1"], ["impute"]], ids=["fit", "impute"])
+    def test_non_utf8_byte_exits_2_naming_the_path(self, tmp_path, capsys, argv, header):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"0.25,0.75\n1.0,2.0\n3.0,\xe94.0\n")
+        out = tmp_path / "out"
+        assert main(argv + ["--input", str(bad), "--out", str(out)]
+                    + (["--header"] if header else [])) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: not a readable CSV text table" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("header", [False, True])
+    def test_c_reader_takes_a_clean_table(self, tmp_path, monkeypatch, header):
+        path = tmp_path / "panel.csv"
+        path.write_text("0.125,0.375,0.625,0.875\n1.0,2.0,3.0,4.0\n5.0,6.0,7.0,8.5\n")
+
+        def per_cell(cells, row_label):
+            raise AssertionError("the per-cell reader ran on a clean table")
+
+        monkeypatch.setattr(panel_module, "_parse_row", per_cell)
+        panel = load_panel(path, header=header)
+        values, grid = read_table_with_missing(path, header=header)
+        assert panel.T == (2 if header else 3) and panel.p == 4
+        assert np.array_equal(values, panel.values)
+        assert (grid is None) != header
