@@ -156,15 +156,11 @@ def center(panel: ObservationPanel, mean: MeanVector) -> ObservationPanel:
     return ObservationPanel(panel.values - mean.values, panel.grid)
 
 
-def _iter_rows(source: Source) -> Iterable[list]:
+def _iter_rows(stream: IO[str]) -> Iterable[list]:
     try:
-        if hasattr(source, "read"):
-            yield from csv.reader(source)
-        else:
-            with open(source, "r", newline="") as fh:
-                yield from csv.reader(fh)
+        yield from csv.reader(stream)
     except (UnicodeDecodeError, csv.Error) as exc:
-        where = getattr(source, "name", source)
+        where = getattr(stream, "name", stream)
         raise PanelFormatError(f"{where}: not a readable CSV text table ({exc})") from None
 
 
@@ -189,36 +185,42 @@ def _c_reader_lines(fh):
     """Lines of ``fh`` for ``np.loadtxt``; ValueError where it would read them unlike csv."""
     limit, seen = csv.field_size_limit(), False
     for line in fh:
-        if len(line) > limit:
-            raise ValueError("line longer than the csv field limit")
+        # the limit is on one field; a line with a quote fails loadtxt anyway
+        if len(line) > limit and max(map(len, line.split(","))) > limit:
+            raise ValueError("field longer than the csv field limit")
         seen = seen or bool(line.strip("\r\n"))
         yield line
     if not seen:
         raise ValueError("no data")  # loadtxt would only warn
 
 
-def _read_bulk(source: Source):
-    """A path's table as floats by numpy's C reader, or None to leave it to the per-cell pass."""
-    if hasattr(source, "read"):
+def _read_bulk(fh):
+    """A file's table as floats by numpy's C reader, or None, ``fh`` rewound, for the csv pass."""
+    if not fh.seekable():  # a pipe cannot be read a second time
         return None
     try:
-        with open(source, "r", newline="") as fh:
-            return np.loadtxt(_c_reader_lines(fh), delimiter=",", comments=None,
-                              quotechar=None, ndmin=2)
+        return np.loadtxt(_c_reader_lines(fh), delimiter=",", comments=None,
+                          quotechar=None, ndmin=2)
     except ValueError:  # a UnicodeDecodeError too: the per-cell pass names it
+        fh.seek(0)
         return None
 
 
 def _read_rows(source: Source, header: bool):
     """Non-empty rows of a table, with the parsed header row split off.
 
-    The C reader converts a table it wholly accepts; the per-cell pass takes
-    every other table and alone defines what parses and names every fault.
+    The C reader converts a file it wholly accepts; the per-cell pass takes
+    every other table and every stream, and alone defines what parses and
+    names every fault.
     """
-    rows = _read_bulk(source)
-    if rows is not None:
-        return (rows[0], rows[1:]) if header else (None, rows)
-    rows = [r for r in _iter_rows(source) if r]
+    if hasattr(source, "read"):
+        rows = [r for r in _iter_rows(source) if r]
+    else:
+        with open(source, "r", newline="") as fh:
+            rows = _read_bulk(fh)
+            if rows is not None:
+                return (rows[0], rows[1:]) if header else (None, rows)
+            rows = [r for r in _iter_rows(fh) if r]
     if not header:
         return None, rows
     if not rows:

@@ -499,14 +499,15 @@ class TestIoFaults:
     """Unreadable inputs and unwritable outputs exit 2 with the path, never a traceback."""
 
     @pytest.mark.parametrize("case", ["fit-input-dir", "simulate-spec-dir", "impute-out-dir",
-                                      "fit-out-file", "non-utf8-csv", "oversized-cell"])
+                                      "fit-out-file", "non-utf8-csv", "non-utf8-csv-header",
+                                      "non-utf8-csv-impute", "oversized-cell"])
     def test_exits_2_naming_the_path(self, tmp_path, capsys, case):
         data = tmp_path / "panel.csv"
         write_plain_csv(data, np.random.default_rng(16).standard_normal((6, 8)))
         folder = tmp_path / "folder"
         folder.mkdir()
         bad = tmp_path / "bad.csv"
-        if case == "non-utf8-csv":
+        if case.startswith("non-utf8-csv"):
             bad.write_bytes(b"1.0,2.0,3.0\n4.0,5.0,\xe96.0\n")
         elif case == "oversized-cell":
             bad.write_text("1.0,2.0\n" + "1" * 140_000 + ",2.0\n")
@@ -518,6 +519,9 @@ class TestIoFaults:
             "impute-out-dir": (["impute", "--input", str(data), "--out", str(folder)], folder),
             "fit-out-file": (["fit", "--L", "1", "--input", str(data), "--out", str(data)], data),
             "non-utf8-csv": (fit + ["--input", str(bad)], bad),
+            "non-utf8-csv-header": (fit + ["--input", str(bad), "--header"], bad),
+            "non-utf8-csv-impute": (["impute", "--input", str(bad), "--out", str(tmp_path / "o")],
+                                    bad),
             "oversized-cell": (fit + ["--input", str(bad)], bad),
         }[case]
         assert main(argv) == 2
