@@ -43,6 +43,7 @@ from .order import _scree_spectrum, plateau_fit, suggest_plateau_L
 from .panel import (
     ObservationPanel,
     SampleGrid,
+    _frozen,
     _require_finite,
     _write_json,
     _write_rows,
@@ -335,7 +336,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_impute(args) -> int:
     values, grid_points = read_table_with_missing(args.input, header=args.header)
     grid = SampleGrid(grid_points) if grid_points is not None else SampleGrid.midpoints(values.shape[1])
-    save_panel(ObservationPanel(impute_missing(values, grid), grid), args.out, header=args.header)
+    save_panel(ObservationPanel(_frozen(impute_missing(values, grid)), grid), args.out, header=args.header)
     return 0
 
 

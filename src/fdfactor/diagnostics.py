@@ -149,7 +149,8 @@ def averaged_periodogram(residuals, sel: FrequencySelection) -> np.ndarray:
     periodogram is |rfft(row)[l]|^2 / p; the FFT's k = 0..p-1 offset is a
     unit-modulus phase and leaves the modulus of :func:`periodogram` as is.
     """
-    return _xi(_retained_dft(_as_values(residuals), sel), sel.p)
+    coef = _retained_dft(_as_values(residuals), sel)
+    return (np.abs(coef) ** 2 / sel.p).mean(axis=0)
 
 
 def _retained_dft(values: np.ndarray, sel: FrequencySelection) -> np.ndarray:
@@ -157,10 +158,6 @@ def _retained_dft(values: np.ndarray, sel: FrequencySelection) -> np.ndarray:
     if values.shape[1] != sel.p:
         raise DimensionError(f"panel has {values.shape[1]} columns but the selection is for p={sel.p}")
     return np.fft.rfft(values, axis=1)[:, sel.indices]
-
-
-def _xi(coef: np.ndarray, p: int) -> np.ndarray:
-    return (np.abs(coef) ** 2 / p).mean(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -178,15 +175,12 @@ def gasser_variance(residuals) -> float:
     values = _as_values(residuals)
     if values.ndim != 2 or values.shape[1] < 3:
         raise DimensionError("the second-difference estimator needs p >= 3")
-    return _gasser(_second_differences(values))
+    d2 = _second_differences(values)
+    return float(np.mean(np.sum(d2**2, axis=1) / (6.0 * d2.shape[1])))
 
 
 def _second_differences(values: np.ndarray) -> np.ndarray:
     return values[:, 2:] + values[:, :-2] - 2.0 * values[:, 1:-1]
-
-
-def _gasser(d2: np.ndarray) -> float:
-    return float(np.mean(np.sum(d2**2, axis=1) / (6.0 * d2.shape[1])))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import DimensionError, OrderError
-from .panel import MeanVector, ObservationPanel, SampleGrid, _readonly, _write_json, _write_rows, load_panel
+from .panel import MeanVector, ObservationPanel, SampleGrid, _frozen, _readonly, _write_json, _write_rows, load_panel
 from .spectral import _CenteredSpectrum, _centered_eigh
 
 #: relative eigengap below which a fit gets a degeneracy warning attached
@@ -136,10 +136,10 @@ def _fit_spectrum(panel: ObservationPanel, spectrum: _CenteredSpectrum, L: int) 
             "still well defined but the factor split is not unique"
         )
 
-    F = np.sqrt(T) * E
-    B = Z.T @ F / T
-    signals = spectrum.mean + E @ (E.T @ Z)
-    residuals = panel.values - signals
+    F = _frozen(np.sqrt(T) * E)
+    B = _frozen(Z.T @ F / T)
+    signals = _frozen(spectrum.mean + E @ (E.T @ Z))
+    residuals = _frozen(panel.values - signals)
     return FactorFit(
         order=L,
         eigvecs=E,
@@ -148,7 +148,7 @@ def _fit_spectrum(panel: ObservationPanel, spectrum: _CenteredSpectrum, L: int) 
         gram_eigenvalues=vals[:L],
         signals=signals,
         residuals=residuals,
-        mean=MeanVector(spectrum.mean),
+        mean=MeanVector(_frozen(spectrum.mean)),
         grid=panel.grid,
         warnings=tuple(fit_warnings),
     )

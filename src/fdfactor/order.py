@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .diagnostics import FrequencySelection, _gasser, _noise_statistics, _retained_dft, _second_differences, _xi
+from .diagnostics import FrequencySelection, _noise_statistics, _retained_dft, _second_differences
 from .errors import DimensionError, DomainError, OrderError
 from .factor import _fit_spectrum
 from .panel import ObservationPanel, _readonly
@@ -68,14 +68,8 @@ class PlateauSuggestion(NamedTuple):
 def classic_scree(system: EigenSystem, l_max: int) -> ScreeCurve:
     """Descending Gram eigenvalues gamma_1 >= ... >= gamma_{l_max}."""
     if not 1 <= l_max <= system.count:
-        raise OrderError(
-            f"l_max must lie in 1..{system.count}, got {l_max}"
-        )
-    return ScreeCurve(
-        orders=np.arange(1, l_max + 1),
-        values=system.gram_eigenvalues[:l_max],
-        kind="eigenvalue",
-    )
+        raise OrderError(f"l_max must lie in 1..{system.count}, got {l_max}")
+    return ScreeCurve(np.arange(1, l_max + 1), system.gram_eigenvalues[:l_max], "eigenvalue")
 
 
 def lambda_scree(panel: ObservationPanel, l_max: int, sel: FrequencySelection) -> ScreeCurve:
@@ -83,29 +77,35 @@ def lambda_scree(panel: ObservationPanel, l_max: int, sel: FrequencySelection) -
 
     One eigendecomposition and one transform of the centered panel serve
     all orders: its retained DFT coefficients and second differences are
-    linear in each row, so order l peels one more eigendirection off both
-    blocks.  This agrees with per-l fits and :func:`iid_noise_test` to rounding.
+    linear in each row, so one projection onto the l_max leading
+    eigendirections gives every order's residual energy.  This agrees with
+    per-l fits and :func:`iid_noise_test` to rounding.
     """
     return _scree_spectrum(_centered_eigh(panel.values), l_max, sel)
 
 
 def _scree_spectrum(spectrum: _CenteredSpectrum, l_max: int, sel: FrequencySelection) -> ScreeCurve:
-    """:func:`lambda_scree` with the centered eigensystem already computed."""
+    """:func:`lambda_scree` with the centered eigensystem already computed.
+
+    Each block B (retained DFT as real and imaginary columns; second differences) is
+    projected once on the l_max leading T-side vectors E: A = E'B, R = B - EA.  After
+    order l, column j keeps ||R_j||^2 + sum_{k>l} A_kj^2, a sum of nonnegative terms.
+    """
     T, p = spectrum.centered.shape
     if not 1 <= l_max <= min(T - 1, p):
         raise OrderError(f"l_max must lie in 1..min(T-1, p) = {min(T - 1, p)}, got {l_max}")
-    C, D = _retained_dft(spectrum.centered, sel), _second_differences(spectrum.centered)
-    stats = []
+    E = spectrum.leading_vectors(l_max, "t")
+    C = np.ascontiguousarray(_retained_dft(spectrum.centered, sel)).view(float)
+    energy = []  # per block, row l - 1: each column's residual energy after order l
     with np.errstate(over="ignore", invalid="ignore"):  # _noise_statistics names any overflow
-        for e in spectrum.leading_vectors(l_max, "t").T:
-            C -= np.outer(e, e @ C)
-            D -= np.outer(e, e @ D)
-            stats.append(_noise_statistics(_xi(C, p), _gasser(D), T, sel.f)[2])
-    return ScreeCurve(
-        orders=np.arange(1, l_max + 1),
-        values=np.asarray(stats),
-        kind="test-statistic",
-    )
+        for B in (C, _second_differences(spectrum.centered)):
+            A = E.T @ B
+            tail = np.cumsum(np.vstack([np.zeros_like(A[:1]), A[:0:-1] ** 2]), axis=0)[::-1]
+            energy.append(np.sum((B - E @ A) ** 2, axis=0) + tail)
+        xi = energy[0].reshape(l_max, sel.f, 2).sum(axis=2) / (p * T)
+        sigma2 = energy[1].sum(axis=1) / (6.0 * (p - 2) * T)
+    stats = [_noise_statistics(x, s2, T, sel.f)[2] for x, s2 in zip(xi, sigma2.tolist())]
+    return ScreeCurve(np.arange(1, l_max + 1), stats, "test-statistic")
 
 
 def suggest_plateau_L(curve: ScreeCurve, rel_tol: float = 0.1) -> PlateauSuggestion:

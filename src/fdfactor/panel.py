@@ -3,6 +3,8 @@
 A panel holds T curves measured at p common points in [0, 1], one curve
 per row.  All containers are immutable after construction and all
 operations are pure, so values can be shared freely across threads.
+A container copies an array the caller owns, which stays writable; an
+array the library has just built is frozen in place and kept uncopied.
 """
 
 from __future__ import annotations
@@ -26,10 +28,22 @@ MISSING_TOKENS = frozenset({"", "na", "nan", "null"})
 Source = Union[str, os.PathLike, IO[str]]
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
+def _readonly(a) -> np.ndarray:
+    """``a`` as it is if it is a float64 array frozen with its base, else a frozen float64 copy."""
+    if (type(a) is np.ndarray and a.dtype == np.float64 and not a.flags.writeable
+            and (a.base is None or type(a.base) is np.ndarray and not a.base.flags.writeable)):
+        return a
     out = np.array(a, dtype=float, copy=True)
     out.setflags(write=False)
     return out
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, an array just built here, made read-only in place with its base, so it is kept uncopied."""
+    if a.base is not None:
+        a.base.setflags(write=False)
+    a.setflags(write=False)
+    return a
 
 
 def _require_finite(values, quantity: str, source: str) -> None:
@@ -140,7 +154,7 @@ class MeanVector:
 
 def column_mean(panel: ObservationPanel) -> MeanVector:
     """Pointwise average over curves: entry i is (1/T) sum_t Y[t, i]."""
-    return MeanVector(panel.values.mean(axis=0))
+    return MeanVector(_frozen(panel.values.mean(axis=0)))
 
 
 def center(panel: ObservationPanel, mean: MeanVector) -> ObservationPanel:
@@ -150,10 +164,8 @@ def center(panel: ObservationPanel, mean: MeanVector) -> ObservationPanel:
     sums up to rounding.
     """
     if len(mean) != panel.p:
-        raise DimensionError(
-            f"mean has length {len(mean)} but the panel has {panel.p} columns"
-        )
-    return ObservationPanel(panel.values - mean.values, panel.grid)
+        raise DimensionError(f"mean has length {len(mean)} but the panel has {panel.p} columns")
+    return ObservationPanel(_frozen(panel.values - mean.values), panel.grid)
 
 
 def _iter_rows(stream: IO[str]) -> Iterable[list]:
@@ -272,7 +284,7 @@ def load_panel(source: Source, header: bool = False) -> ObservationPanel:
                   "run the 'impute' command first")
     if grid is None:
         grid = SampleGrid.midpoints(width)
-    return ObservationPanel(data, grid)
+    return ObservationPanel(_frozen(data), grid)
 
 
 def _cell(x) -> str:

@@ -27,7 +27,7 @@ from .diagnostics import _selection, iid_noise_test
 from .errors import DimensionError, DomainError, NumericalError, OrderError, SelectionError
 from .factor import fit
 from .order import plateau_fit
-from .panel import ObservationPanel, SampleGrid, _write_rows
+from .panel import ObservationPanel, SampleGrid, _frozen, _write_rows
 
 #: pinned random-number recipe, recorded in manifests so that
 #: reimplementations can document divergence
@@ -103,10 +103,16 @@ def gen_rough_signals(cfg: RoughDgpConfig, rng: Optional[np.random.Generator] = 
     ``ROUGH_SCORE_SCALES``.
     """
     rng = _as_rng(cfg.seed) if rng is None else rng
-    grid = SampleGrid.midpoints(cfg.p)
-    basis = rough_components(grid.points)
+    grid, basis = _midpoint_design(cfg.p)
     scores = rng.standard_normal((cfg.T, 3)) * np.asarray(ROUGH_SCORE_SCALES)
-    return ObservationPanel(scores @ basis, grid), scores
+    return ObservationPanel(_frozen(scores @ basis), grid), scores
+
+
+@lru_cache(maxsize=16)
+def _midpoint_design(p: int):
+    """The midpoint grid of p points and the read-only rough basis on it, shape (3, p)."""
+    grid = SampleGrid.midpoints(p)
+    return grid, _frozen(rough_components(grid.points))
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +151,7 @@ def bspline_basis(K: int, s):
                 acc = acc + (t[j + d + 1] - s_arr) / (t[j + d + 1] - t[j + 1]) * B[:, j + 1]
             out[:, j] = acc
         B = out
-    if np.isscalar(s) or np.asarray(s).ndim == 0:
-        return B[0]
-    return B
+    return B[0] if np.ndim(s) == 0 else B
 
 
 @dataclass(frozen=True)
@@ -206,11 +210,11 @@ def _quadrature_variance(K: int) -> float:
 def gen_spline_signals(cfg: SmoothDgpConfig, rng: Optional[np.random.Generator] = None) -> ObservationPanel:
     """Smooth signals X_t(s_i) = sum_k c_{tk} B_k(s_i) on the midpoint grid."""
     rng = _as_rng(cfg.seed) if rng is None else rng
-    grid = SampleGrid.midpoints(cfg.p)
-    B = bspline_basis(cfg.K, grid.points)
+    grid = _midpoint_design(cfg.p)[0]
+    B = _spline_design(cfg.K, grid.points.tobytes())
     sd = np.sqrt(coefficient_variances(cfg.K, cfg.signal_variance))
     coef = rng.standard_normal((cfg.T, cfg.K)) * sd
-    return ObservationPanel(coef @ B.T, grid)
+    return ObservationPanel(_frozen(coef @ B.T), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +248,8 @@ def add_noise(signals: ObservationPanel, noise) -> ObservationPanel:
     """Entrywise sum of a signal panel and a noise array of equal shape."""
     noise = np.asarray(getattr(noise, "values", noise), dtype=float)
     if noise.shape != signals.values.shape:
-        raise DimensionError(
-            f"noise shape {noise.shape} does not match signals {signals.values.shape}"
-        )
-    return ObservationPanel(signals.values + noise, signals.grid)
+        raise DimensionError(f"noise shape {noise.shape} does not match signals {signals.values.shape}")
+    return ObservationPanel(_frozen(signals.values + noise), signals.grid)
 
 
 def sse_appr(truth, estimate) -> float:
@@ -271,22 +273,25 @@ def bspline_ls_fit(panel: ObservationPanel, K: int) -> ObservationPanel:
     if K > panel.p:
         raise DimensionError(f"K = {K} exceeds the number of grid points {panel.p}")
     B, P = _spline_projector(K, panel.grid.points.tobytes())
-    return ObservationPanel((B @ (P @ panel.values.T)).T, panel.grid)
+    return ObservationPanel(_frozen((B @ (P @ panel.values.T)).T), panel.grid)
+
+
+@lru_cache(maxsize=16)
+def _spline_design(K: int, grid_bytes: bytes) -> np.ndarray:
+    """Read-only design B (p, K) of the K cubic B-splines on a grid, given by its point bytes."""
+    return _frozen(bspline_basis(K, np.frombuffer(grid_bytes)))
 
 
 @lru_cache(maxsize=16)
 def _spline_projector(K: int, grid_bytes: bytes):
     """Read-only design B (p, K) and projector (B'B)^{-1} B' (K, p) on a grid."""
-    B = bspline_basis(K, np.frombuffer(grid_bytes))
+    B = _spline_design(K, grid_bytes)
     G = B.T @ B
     try:
         C = np.linalg.cholesky((G + G.T) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"rank-deficient spline design (K={K}, p={B.shape[0]}): {exc}") from exc
-    P = np.linalg.solve(C.T, np.linalg.solve(C, B.T))
-    B.setflags(write=False)
-    P.setflags(write=False)
-    return B, P
+    return B, _frozen(np.linalg.solve(C.T, np.linalg.solve(C, B.T)))
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +361,10 @@ class SimulationSpec:
             raise DomainError(f"scree_l_max must be >= 4, got {self.scree_l_max}")
         if tuple(self.levels) != _LEVELS:
             raise DomainError(f"levels must be {_LEVELS}, got {tuple(self.levels)}")
+        for i, s in enumerate(self.settings):  # as SmoothDgpConfig and gen_ar1_noise check it
+            if not (0.0 <= s.theta_ar < 1.0 if self.dgp == "smooth" else abs(s.theta_ar) < 1.0):
+                domain = "lie in [0, 1) for the smooth DGP" if self.dgp == "smooth" else "satisfy |theta_ar| < 1"
+                raise DomainError(f"settings[{i}]: theta_ar must {domain}, got {s.theta_ar}")
         object.__setattr__(self, "settings", tuple(self.settings))
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "levels", tuple(self.levels))

@@ -44,7 +44,7 @@ def eigh_descending(matrix: np.ndarray):
 
 def apply_sign_convention(vecs: np.ndarray) -> np.ndarray:
     """Make the largest-magnitude entry of every column positive."""
-    vecs = np.array(vecs, copy=True)
+    vecs = np.asarray(vecs)
     lead = np.argmax(np.abs(vecs), axis=0)
     signs = np.sign(vecs[lead, np.arange(vecs.shape[1])])
     signs[signs == 0] = 1.0

@@ -477,6 +477,23 @@ class TestSimulateSpecValidation:
         assert code == 2 and key in err
         assert not (tmp_path / "sim").exists()
 
+    @pytest.mark.parametrize("dgp, kind, theta_ar", [
+        ("rough", "sse", 1.5), ("rough", "noise-test", -1.0), ("smooth", "sse", -0.5),
+    ])
+    def test_bad_theta_ar_in_a_later_setting_exits_2_before_any_replication(
+            self, tmp_path, capsys, monkeypatch, dgp, kind, theta_ar):
+        import fdfactor.simulate as simulate
+
+        calls = []
+        for runner in ("_run_sse_rep", "_run_test_rep"):
+            monkeypatch.setattr(simulate, runner, lambda *a: calls.append(a))
+        settings = [{"p": 20, "T": 40, "sigma2": 0.05},
+                    {"p": 20, "T": 40, "sigma2": 0.05, "theta_ar": theta_ar}]
+        spec = {**self.BASE, "dgp": dgp, "kind": kind, "settings": settings}
+        code, err, _ = self.run(tmp_path, capsys, json.dumps(spec))
+        assert code == 2 and "settings[1]" in err and "theta_ar" in err and str(theta_ar) in err
+        assert calls == [] and not (tmp_path / "sim").exists()
+
     @pytest.mark.parametrize("kind", ["sse", "noise-test"])
     def test_selection_fault_of_a_setting_counts_as_failures(self, tmp_path, capsys, kind):
         # one frequency survives cutoff 0.5 and thinning 3 at p=8: every replication fails

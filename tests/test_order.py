@@ -26,6 +26,8 @@ from fdfactor import (
     select_frequencies,
     suggest_plateau_L,
 )
+from fdfactor.diagnostics import _noise_statistics, _retained_dft, _second_differences
+from fdfactor.spectral import _centered_eigh
 
 
 def make_panel(values):
@@ -51,6 +53,19 @@ def factor_observation(T, p, noise_sd, rng):
 def per_order_lambda(panel, orders, sel):
     """lambda_inf of an independent fit at each order, the scree's reference."""
     return [iid_noise_test(residual_panel(fit(panel, l)), sel).lambda_inf for l in orders]
+
+
+def peeled_scree(panel, l_max, sel):
+    """The scree by one rank-1 peel per order off both blocks: the one-projection rule's oracle."""
+    spectrum = _centered_eigh(panel.values)
+    C, D = _retained_dft(spectrum.centered, sel), _second_differences(spectrum.centered)
+    values = []
+    for e in spectrum.leading_vectors(l_max, "t").T:
+        C, D = C - np.outer(e, e @ C), D - np.outer(e, e @ D)
+        xi = (np.abs(C) ** 2 / panel.p).mean(axis=0)
+        sigma2 = np.mean(np.sum(D**2, axis=1) / (6.0 * D.shape[1]))
+        values.append(_noise_statistics(xi, sigma2, panel.T, sel.f)[2])
+    return np.array(values)
 
 
 def stat_curve(values):
@@ -108,6 +123,25 @@ class TestLambdaScree:
         sel = select_frequencies(p, 0.1, 1)
         curve = lambda_scree(panel, 6, sel)
         assert curve.values == pytest.approx(per_order_lambda(panel, range(1, 7), sel), rel=1e-8)
+
+    @pytest.mark.parametrize("noise_sd", [0.5, 0.01])
+    @pytest.mark.parametrize("T, p", [(40, 90), (150, 36), (200, 365)], ids=["T<p", "T>p", "paper"])
+    def test_one_projection_matches_the_peel(self, T, p, noise_sd):
+        panel = factor_observation(T, p, noise_sd, np.random.default_rng(T * p))
+        sel = select_frequencies(p, 0.1, 1)
+        curve = lambda_scree(panel, 8, sel)
+        assert curve.values == pytest.approx(peeled_scree(panel, 8, sel), rel=1e-10)
+
+    @pytest.mark.parametrize("T, p", [(12, 40), (60, 20)], ids=["T<p", "T>p"])
+    def test_full_order_where_no_direction_is_left(self, T, p):
+        # at l_max = min(T-1, p) the tail sum is empty and the centered panel is
+        # spent: the last order is rounding noise, finite but not comparable
+        panel = factor_observation(T, p, 0.5, np.random.default_rng(T * p))
+        sel = select_frequencies(p, 0.1, 1)
+        l_max = min(T - 1, p)
+        values = lambda_scree(panel, l_max, sel).values
+        assert values.size == l_max and np.all(np.isfinite(values))
+        assert values[:-1] == pytest.approx(peeled_scree(panel, l_max, sel)[:-1], rel=1e-10)
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)

@@ -181,6 +181,69 @@ class TestPanelValidation:
             panel.values[0, 0] = 2.0
 
 
+class TestOwnership:
+    """A caller's array is copied and stays writable; an array just built is kept uncopied."""
+
+    def test_a_writable_caller_array_is_copied(self):
+        values = np.ones((2, 3))
+        panel = make_panel(values)
+        assert not np.shares_memory(panel.values, values) and values.flags.writeable
+        values[0, 0] = 5.0
+        assert panel.values[0, 0] == 1.0
+
+    def test_a_read_only_view_of_a_writable_base_is_copied(self):
+        base = np.ones((2, 3))
+        view = base[:, :]
+        view.setflags(write=False)
+        panel = make_panel(view)
+        assert not np.shares_memory(panel.values, base) and base.flags.writeable
+        base[0, 0] = 5.0
+        assert panel.values[0, 0] == 1.0
+
+    def test_a_frozen_float_array_is_kept(self):
+        values = np.ones((2, 3))
+        values.setflags(write=False)
+        assert make_panel(values).values is values
+        ints = np.ones((2, 3), dtype=int)
+        ints.setflags(write=False)
+        assert make_panel(ints).values.dtype == np.float64
+
+    @staticmethod
+    def built_arrays(monkeypatch, module):
+        built, frozen = [], panel_module._frozen
+
+        def spy(a):
+            built.append(a)
+            return frozen(a)
+
+        monkeypatch.setattr(module, "_frozen", spy)
+        return built
+
+    @pytest.mark.parametrize("header", [False, True])
+    @pytest.mark.parametrize("source", ["path", "stream"])
+    def test_load_panel_keeps_the_parsed_array(self, tmp_path, monkeypatch, header, source):
+        path = tmp_path / "panel.csv"
+        path.write_text("0.25,0.75\n1.0,2.0\n3.0,4.5\n5.0,6.0\n")
+        built = self.built_arrays(monkeypatch, panel_module)
+        panel = load_panel(path if source == "path" else io.StringIO(path.read_text()),
+                           header=header)
+        assert len(built) == 1 and np.shares_memory(panel.values, built[0])
+        assert not panel.values.flags.writeable
+
+    def test_add_noise_and_residual_panel_keep_the_sum(self, monkeypatch):
+        import fdfactor.simulate as simulate
+        from fdfactor import add_noise, fit, residual_panel
+
+        built = self.built_arrays(monkeypatch, simulate)
+        rng = np.random.default_rng(12)
+        noise = rng.standard_normal((6, 5))
+        observed = add_noise(make_panel(rng.standard_normal((6, 5))), noise)
+        assert len(built) == 1 and np.shares_memory(observed.values, built[0])
+        assert noise.flags.writeable
+        result = fit(observed, 2)
+        assert np.shares_memory(residual_panel(result).values, result.residuals)
+
+
 class TestImpute:
     def test_interior_linear_interpolation(self):
         grid = SampleGrid(np.array([0.0, 0.25, 0.5, 0.75, 1.0]))

@@ -350,6 +350,21 @@ class TestMonteCarloHarness:
         with pytest.raises(DimensionError, match=f"p={p}, T={T}"):
             SimSetting(p=p, T=T, sigma2=0.1)
 
+    @pytest.mark.parametrize("dgp, theta_ar", [
+        ("rough", 1.5), ("rough", -1.0), ("rough", float("nan")), ("rough", float("inf")),
+        ("smooth", -0.5), ("smooth", 1.0), ("smooth", float("nan")),
+    ])
+    def test_theta_ar_outside_its_domain_is_rejected_naming_the_setting(self, dgp, theta_ar):
+        settings = [SimSetting(p=20, T=30, sigma2=0.1),
+                    SimSetting(p=20, T=30, sigma2=0.1, theta_ar=theta_ar)]
+        with pytest.raises(DomainError, match=rf"^settings\[1\]: theta_ar must .*, got {theta_ar}$"):
+            self.spec(dgp=dgp, settings=settings)
+
+    @pytest.mark.parametrize("dgp, theta_ar", [("rough", -0.9), ("rough", 0.9), ("smooth", 0.0)])
+    def test_theta_ar_inside_its_domain_is_accepted(self, dgp, theta_ar):
+        spec = self.spec(dgp=dgp, settings=[SimSetting(p=20, T=30, sigma2=0.1, theta_ar=theta_ar)])
+        assert spec.settings[0].theta_ar == theta_ar
+
     def test_only_the_summary_levels_are_accepted(self):
         assert self.spec(levels=[0.01, 0.05, 0.1]).levels == (0.01, 0.05, 0.10)
         with pytest.raises(DomainError, match=r"\(0\.01, 0\.05, 0\.1\)"):
