@@ -3,6 +3,10 @@
 Every command that writes files targets an output directory containing
 exactly one ``manifest.json`` recording the command, input hashes,
 parameters, seed (when randomized), software version and timestamp.
+A command computes and returns its files, its manifest and its stdout
+text; :func:`main` alone creates the directory, writes the files, then
+the manifest, then prints.  So a command that fails before that point
+leaves no output and prints no result.
 Exit codes: 0 success, 2 usage/input problems, 3 numerical or
 degenerate-data failures.
 """
@@ -22,11 +26,11 @@ import numpy as np
 from ._version import __version__
 from .curves import dense_trace, interpolate
 from .diagnostics import (
+    _covariance_to_correlation,
     _selection,
     averaged_periodogram,
     iid_noise_test,
     residual_acf,
-    residual_correlation,
     residual_covariance,
 )
 from .errors import (
@@ -38,26 +42,25 @@ from .errors import (
     PanelFormatError,
     SelectionError,
 )
-from .factor import fit, load_fit_residuals, save_fit
+from .factor import _fit_files, fit, load_fit_residuals
 from .order import _scree_spectrum, plateau_fit, suggest_plateau_L
 from .panel import (
     ObservationPanel,
     SampleGrid,
     _frozen,
     _require_finite,
-    _write_json,
-    _write_rows,
+    _write_files,
     impute_missing,
     load_panel,
     read_table_with_missing,
-    save_panel,
 )
 from .simulate import (
     RNG_ALGORITHM,
+    SUMMARY_COLUMNS,
     SimSetting,
     SimulationSpec,
     run_monte_carlo,
-    write_summary_csv,
+    summary_rows,
 )
 from .spectral import _centered_eigh
 
@@ -80,8 +83,8 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, params: dict, inputs: dict) -> None:
-    manifest = {
+def _manifest(command: str, params: dict, inputs: dict) -> dict:
+    return {
         "command": command,
         "parameters": params,
         "input_sha256": {name: _sha256(p) for name, p in inputs.items()},
@@ -90,7 +93,6 @@ def _write_manifest(out_dir: Path, command: str, params: dict, inputs: dict) -> 
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "schema": 1,
     }
-    _write_json(out_dir / "manifest.json", manifest)
 
 
 def _load_residuals(args):
@@ -102,20 +104,18 @@ def _load_residuals(args):
     return load_panel(args.input, header=args.header), Path(args.input)
 
 
-def _write_xi(path, sel, xi) -> None:
-    _write_rows(path, zip(sel.indices.tolist(), sel.thetas.tolist(), xi.tolist()),
-                ["index", "theta", "xi"])
+def _xi_table(sel, xi):
+    return zip(sel.indices.tolist(), sel.thetas.tolist(), xi.tolist()), ["index", "theta", "xi"]
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its files under --out (name -> (rows, header) or
+# a JSON object), its manifest (parameters, inputs) or None, and its stdout
 
-def _cmd_fit(args) -> int:
-    chosen = sum([args.L is not None, args.scree_auto, args.mean_only])
-    if chosen != 1:
+def _cmd_fit(args):
+    if sum([args.L is not None, args.scree_auto, args.mean_only]) != 1:
         raise OrderError("choose exactly one of --L, --scree-auto, --mean-only")
     panel = load_panel(args.input, header=args.header)
-    out = Path(args.out)
     params = {"input": str(args.input), "header": args.header}
 
     if args.mean_only:
@@ -124,13 +124,11 @@ def _cmd_fit(args) -> int:
             resid = panel.values - mu
         _require_finite(mu, "mean curve", "the panel is")
         _require_finite(resid, "residual panel of the mean-only fit", "the panel is")
-        out.mkdir(parents=True, exist_ok=True)
-        _write_rows(out / "signals.csv", [mu] * panel.T, panel.grid.points)
-        _write_rows(out / "residuals.csv", resid, panel.grid.points)
-        _write_rows(out / "muhat.csv", [mu], panel.grid.points)
+        files = {"signals.csv": ([mu] * panel.T, panel.grid.points),
+                 "residuals.csv": (resid, panel.grid.points),
+                 "muhat.csv": ([mu], panel.grid.points)}
         params["mode"] = "mean-only"
-        _write_manifest(out, "fit", params, {"input": args.input})
-        return 0
+        return files, (params, {"input": args.input}), None
 
     if args.scree_auto:
         sel = _selection(panel.p, panel.T, args.cutoff, args.thin)
@@ -152,17 +150,15 @@ def _cmd_fit(args) -> int:
     params["L"] = int(L)
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
+    files = _fit_files(result)
     if args.trace_curve is not None:
         trace = dense_trace(interpolate(result, args.trace_curve), args.trace_points)
-    save_fit(result, out)
-    _write_manifest(out, "fit", params, {"input": args.input})
-    if args.trace_curve is not None:
-        _write_rows(out / "trace.csv", trace, ["s", "value"])
-    print(json.dumps({"L": int(L), "T": result.T, "p": result.p, "out": str(out)}))
-    return 0
+        files["trace.csv"] = (trace, ["s", "value"])
+    stdout = json.dumps({"L": int(L), "T": result.T, "p": result.p, "out": str(Path(args.out))})
+    return files, (params, {"input": args.input}), stdout
 
 
-def _cmd_test(args) -> int:
+def _cmd_test(args):
     if args.sigma2 is not None and not 0.0 < args.sigma2 < np.inf:
         raise DomainError(f"--sigma2 must be a positive finite number, got {args.sigma2}")
     residuals, input_path = _load_residuals(args)
@@ -170,22 +166,15 @@ def _cmd_test(args) -> int:
     sel = _selection(residuals.p, residuals.T, args.cutoff, args.thin)
     report = iid_noise_test(residuals, sel, sigma2=args.sigma2)
     payload = report.to_dict()
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "report.json", payload)
-        _write_xi(out / "xi.csv", sel, report.xi)
-        _write_manifest(
-            out, "test",
-            {"cutoff": args.cutoff, "thin": args.thin, "sigma2": args.sigma2,
-             "f": report.f},
-            {"input": input_path},
-        )
-    return 0
+    stdout = json.dumps(payload, indent=2, sort_keys=True)
+    if args.out is None:
+        return {}, None, stdout
+    files = {"report.json": payload, "xi.csv": _xi_table(sel, report.xi)}
+    params = {"cutoff": args.cutoff, "thin": args.thin, "sigma2": args.sigma2, "f": report.f}
+    return files, (params, {"input": input_path}), stdout
 
 
-def _cmd_scree(args) -> int:
+def _cmd_scree(args):
     panel = load_panel(args.input, header=args.header)
     sel = _selection(panel.p, panel.T, args.cutoff, args.thin)
     l_max = min(args.lmax, min(panel.T - 1, panel.p))
@@ -194,19 +183,15 @@ def _cmd_scree(args) -> int:
     gamma = spectrum.gram_eigenvalues[:l_max]
     suggestion = suggest_plateau_L(lam) if l_max >= 4 else None
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_rows(out / "scree.csv",
-                zip(lam.orders.tolist(), gamma.tolist(), lam.values.tolist()),
-                ["l", "gamma", "lambda_inf"])
+    files = {"scree.csv": (zip(lam.orders.tolist(), gamma.tolist(), lam.values.tolist()),
+                           ["l", "gamma", "lambda_inf"])}
     params = {"lmax": l_max, "cutoff": args.cutoff, "thin": args.thin}
+    stdout = None
     if suggestion is not None:
-        params["suggested_L"] = suggestion.L
-        params["plateau_found"] = suggestion.plateau_found
-        print(json.dumps({"suggested_L": suggestion.L,
-                          "plateau_found": suggestion.plateau_found}))
-    _write_manifest(out, "scree", params, {"input": args.input})
-    return 0
+        found = {"suggested_L": suggestion.L, "plateau_found": suggestion.plateau_found}
+        params.update(found)
+        stdout = json.dumps(found)
+    return files, (params, {"input": args.input}), stdout
 
 
 def _parse_window(expr, p):
@@ -220,7 +205,7 @@ def _parse_window(expr, p):
     return lo - 1, hi
 
 
-def _cmd_diagnose(args) -> int:
+def _cmd_diagnose(args):
     residuals, input_path = _load_residuals(args)
 
     if not 1 <= args.curve <= residuals.T:
@@ -229,7 +214,7 @@ def _cmd_diagnose(args) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         acvf, acf = residual_acf(residuals.values[args.curve - 1], h_max)
         cov = residual_covariance(residuals)
-        corr, _ = residual_correlation(residuals)
+        corr, _ = _covariance_to_correlation(cov)
         if args.cols is not None:
             lo, hi = _parse_window(args.cols, residuals.p)
             cov = cov[lo:hi, lo:hi]
@@ -240,21 +225,14 @@ def _cmd_diagnose(args) -> int:
     for name, values in (("autocovariance", acvf), ("covariance", cov), ("periodogram xi", xi)):
         _require_finite(values, f"residual {name}", "the residuals are")
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     acf_col = acf.tolist() if acf is not None else [None] * (h_max + 1)
-    _write_rows(out / "acf.csv", zip(range(h_max + 1), acvf.tolist(), acf_col),
-                ["lag", "acvf", "acf"])
-    _write_rows(out / "covariance.csv", cov)
-    _write_rows(out / "correlation.csv", corr)
-    _write_xi(out / "xi.csv", sel, xi)
-    _write_manifest(
-        out, "diagnose",
-        {"curve": args.curve, "hmax": h_max, "cols": args.cols,
-         "cutoff": args.cutoff, "thin": args.thin},
-        {"input": input_path},
-    )
-    return 0
+    files = {"acf.csv": (zip(range(h_max + 1), acvf.tolist(), acf_col), ["lag", "acvf", "acf"]),
+             "covariance.csv": (cov, None),
+             "correlation.csv": (corr, None),
+             "xi.csv": _xi_table(sel, xi)}
+    params = {"curve": args.curve, "hmax": h_max, "cols": args.cols,
+              "cutoff": args.cutoff, "thin": args.thin}
+    return files, (params, {"input": input_path}), None
 
 
 _NUMBER = (int, float)
@@ -316,28 +294,23 @@ def _read_spec(path):
     return raw, fields
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args):
     raw, fields = _read_spec(args.spec)
     if fields.get("seed") is None:
         fields["seed"] = secrets.randbits(63)
-    print(f"seed: {fields['seed']}")
+    # printed before the replications run, so an interrupted study can be rerun
+    print(f"seed: {fields['seed']}", flush=True)
     summary = run_monte_carlo(SimulationSpec(**fields), workers=args.workers)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_summary_csv(summary, out / "summary.csv")
-    _write_manifest(
-        out, "simulate",
-        {"spec": raw, "seed": fields["seed"], "workers": args.workers},
-        {"spec_file": args.spec},
-    )
-    return 0
+    params = {"spec": raw, "seed": fields["seed"], "workers": args.workers}
+    return ({"summary.csv": (summary_rows(summary), SUMMARY_COLUMNS)},
+            (params, {"spec_file": args.spec}), None)
 
 
-def _cmd_impute(args) -> int:
+def _cmd_impute(args):
     values, grid_points = read_table_with_missing(args.input, header=args.header)
     grid = SampleGrid(grid_points) if grid_points is not None else SampleGrid.midpoints(values.shape[1])
-    save_panel(ObservationPanel(_frozen(impute_missing(values, grid)), grid), args.out, header=args.header)
-    return 0
+    panel = ObservationPanel(_frozen(impute_missing(values, grid)), grid)
+    return {args.out: (panel.values, grid.points if args.header else None)}, None, None
 
 
 # ---------------------------------------------------------------------------
@@ -425,13 +398,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        files, manifest, stdout = args.func(args)
+        if manifest is not None:  # else --out names impute's one file, or is not given
+            files["manifest.json"] = _manifest(args.command, *manifest)
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+        _write_files(files, "" if manifest is None else args.out)
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NUMERIC_ERRORS as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
+    if stdout is not None:
+        print(stdout)
+    return 0
 
 
 if __name__ == "__main__":

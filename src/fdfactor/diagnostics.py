@@ -305,7 +305,11 @@ def residual_correlation(residuals):
     Returns ``(corr, degenerate)`` where ``degenerate`` flags columns of
     zero variance; their correlation entries are set to NaN.
     """
-    C = residual_covariance(residuals)
+    return _covariance_to_correlation(residual_covariance(residuals))
+
+
+def _covariance_to_correlation(C):
+    """:func:`residual_correlation` from the covariance matrix ``C`` already built."""
     d = np.sqrt(np.diag(C))
     degenerate = d == 0.0
     scale = np.where(degenerate, np.nan, d)

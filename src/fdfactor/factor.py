@@ -25,7 +25,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import DimensionError, OrderError
-from .panel import MeanVector, ObservationPanel, SampleGrid, _frozen, _readonly, _write_json, _write_rows, load_panel
+from .panel import MeanVector, ObservationPanel, SampleGrid, _frozen, _readonly, _write_files, load_panel
 from .spectral import _CenteredSpectrum, _centered_eigh
 
 #: relative eigengap below which a fit gets a degeneracy warning attached
@@ -167,6 +167,26 @@ def signal_panel(fit_result: FactorFit) -> ObservationPanel:
 # ---------------------------------------------------------------------------
 # fit artifact directory
 
+def _fit_files(fit_result: FactorFit) -> dict:
+    """The files of a fit artifact directory, name -> (rows, header) or a JSON object."""
+    return {
+        "signals.csv": (fit_result.signals, fit_result.grid.points),
+        "residuals.csv": (fit_result.residuals, fit_result.grid.points),
+        "muhat.csv": ([fit_result.mean.values], fit_result.grid.points),
+        "loadings.csv": (fit_result.loadings, None),
+        "scores.csv": (fit_result.scores, None),
+        "eigenvalues.csv": (fit_result.gram_eigenvalues.reshape(-1, 1), None),
+        "fit.json": {
+            "l": fit_result.order,
+            "t": fit_result.T,
+            "p": fit_result.p,
+            "grid_sha256": fit_result.grid.digest(),
+            "version": __version__,
+            "warnings": list(fit_result.warnings),
+        },
+    }
+
+
 def save_fit(fit_result: FactorFit, out_dir) -> None:
     """Serialize a fit to a directory of CSV files plus fit.json.
 
@@ -174,24 +194,8 @@ def save_fit(fit_result: FactorFit, out_dir) -> None:
     signals.csv / residuals.csv (grid header + one curve per row, loadable
     with ``load_panel(header=True)``) and eigenvalues.csv.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    grid = fit_result.grid.points
-    _write_rows(out / "signals.csv", fit_result.signals, grid)
-    _write_rows(out / "residuals.csv", fit_result.residuals, grid)
-    _write_rows(out / "muhat.csv", [fit_result.mean.values], grid)
-    _write_rows(out / "loadings.csv", fit_result.loadings)
-    _write_rows(out / "scores.csv", fit_result.scores)
-    _write_rows(out / "eigenvalues.csv", fit_result.gram_eigenvalues.reshape(-1, 1))
-    meta = {
-        "l": fit_result.order,
-        "t": fit_result.T,
-        "p": fit_result.p,
-        "grid_sha256": fit_result.grid.digest(),
-        "version": __version__,
-        "warnings": list(fit_result.warnings),
-    }
-    _write_json(out / "fit.json", meta)
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    _write_files(_fit_files(fit_result), out_dir)
 
 
 def load_fit_residuals(fit_dir) -> ObservationPanel:

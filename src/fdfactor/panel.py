@@ -3,7 +3,7 @@
 A panel holds T curves measured at p common points in [0, 1], one curve
 per row.  All containers are immutable after construction and all
 operations are pure, so values can be shared freely across threads.
-A container copies an array the caller owns, which stays writable; an
+A container copies any array the caller owns, even a read-only one; an
 array the library has just built is frozen in place and kept uncopied.
 """
 
@@ -14,6 +14,7 @@ import hashlib
 import itertools
 import json
 import os
+import weakref
 from dataclasses import dataclass
 from typing import IO, Iterable, Union
 
@@ -28,11 +29,15 @@ MISSING_TOKENS = frozenset({"", "na", "nan", "null"})
 Source = Union[str, os.PathLike, IO[str]]
 
 
+_BUILT = weakref.WeakValueDictionary()  # id -> memory owner of an array _frozen built
+
+
 def _readonly(a) -> np.ndarray:
-    """``a`` as it is if it is a float64 array frozen with its base, else a frozen float64 copy."""
-    if (type(a) is np.ndarray and a.dtype == np.float64 and not a.flags.writeable
-            and (a.base is None or type(a.base) is np.ndarray and not a.base.flags.writeable)):
-        return a
+    """``a`` if ``_frozen`` built it or its base and both are still read-only, else a frozen float64 copy."""
+    if type(a) is np.ndarray and a.dtype == np.float64 and not a.flags.writeable:
+        owner = a if a.base is None else a.base
+        if _BUILT.get(id(owner)) is owner and not owner.flags.writeable:
+            return a
     out = np.array(a, dtype=float, copy=True)
     out.setflags(write=False)
     return out
@@ -40,9 +45,10 @@ def _readonly(a) -> np.ndarray:
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     """``a``, an array just built here, made read-only in place with its base, so it is kept uncopied."""
-    if a.base is not None:
-        a.base.setflags(write=False)
+    owner = a if a.base is None else a.base
+    owner.setflags(write=False)
     a.setflags(write=False)
+    _BUILT[id(owner)] = owner
     return a
 
 
@@ -313,11 +319,16 @@ def _write_rows(dest: Source, rows, header=None) -> None:
             _write(fh)
 
 
-def _write_json(path, obj) -> None:
-    """Write ``obj`` as JSON with sorted keys, two-space indent and a final newline."""
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _write_files(files: dict, out_dir="") -> None:
+    """Write ``files`` under ``out_dir``: name -> ``(rows, header)`` as CSV, or an object as JSON."""
+    for name, content in files.items():
+        path = os.path.join(out_dir, name)
+        if isinstance(content, tuple):
+            _write_rows(path, *content)
+            continue
+        with open(path, "w") as fh:
+            json.dump(content, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 def save_panel(panel: ObservationPanel, dest: Source, header: bool = True) -> None:

@@ -290,6 +290,23 @@ class TestDiagnoseCommand:
             assert np.array_equal(got, matrix[window, window], equal_nan=True)
         assert np.isnan(np.loadtxt(out / "correlation.csv", delimiter=",")).any()
 
+    def test_builds_the_covariance_once(self, tmp_path, monkeypatch):
+        import fdfactor.cli as cli
+        import fdfactor.diagnostics as diagnostics
+
+        calls, build = [], diagnostics.residual_covariance
+
+        def spy(residuals):
+            calls.append(residuals)
+            return build(residuals)
+
+        for module in (cli, diagnostics):
+            monkeypatch.setattr(module, "residual_covariance", spy)
+        data = tmp_path / "resid.csv"
+        write_plain_csv(data, np.random.default_rng(9).standard_normal((30, 24)))
+        assert main(["diagnose", "--input", str(data), "--out", str(tmp_path / "diag")]) == 0
+        assert len(calls) == 1
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_residuals_exit_3(self, tmp_path, capsys):
         values = np.random.default_rng(15).standard_normal((10, 12))
@@ -516,8 +533,9 @@ class TestIoFaults:
     """Unreadable inputs and unwritable outputs exit 2 with the path, never a traceback."""
 
     @pytest.mark.parametrize("case", ["fit-input-dir", "simulate-spec-dir", "impute-out-dir",
-                                      "fit-out-file", "non-utf8-csv", "non-utf8-csv-header",
-                                      "non-utf8-csv-impute", "oversized-cell"])
+                                      "fit-out-file", "test-out-file", "non-utf8-csv",
+                                      "non-utf8-csv-header", "non-utf8-csv-impute",
+                                      "oversized-cell"])
     def test_exits_2_naming_the_path(self, tmp_path, capsys, case):
         data = tmp_path / "panel.csv"
         write_plain_csv(data, np.random.default_rng(16).standard_normal((6, 8)))
@@ -528,6 +546,9 @@ class TestIoFaults:
             bad.write_bytes(b"1.0,2.0,3.0\n4.0,5.0,\xe96.0\n")
         elif case == "oversized-cell":
             bad.write_text("1.0,2.0\n" + "1" * 140_000 + ",2.0\n")
+        if case == "test-out-file":  # a fit to test, so the report is computed before --out fails
+            assert main(["fit", "--L", "1", "--input", str(data), "--out", str(folder)]) == 0
+            capsys.readouterr()
         fit = ["fit", "--L", "1", "--out", str(tmp_path / "o")]
         argv, path = {
             "fit-input-dir": (fit + ["--input", str(folder)], folder),
@@ -535,6 +556,8 @@ class TestIoFaults:
                                   folder),
             "impute-out-dir": (["impute", "--input", str(data), "--out", str(folder)], folder),
             "fit-out-file": (["fit", "--L", "1", "--input", str(data), "--out", str(data)], data),
+            "test-out-file": (["test", "--from-fit", str(folder), "--thin", "1", "--out", str(data)],
+                              data),
             "non-utf8-csv": (fit + ["--input", str(bad)], bad),
             "non-utf8-csv-header": (fit + ["--input", str(bad), "--header"], bad),
             "non-utf8-csv-impute": (["impute", "--input", str(bad), "--out", str(tmp_path / "o")],
@@ -542,9 +565,10 @@ class TestIoFaults:
             "oversized-cell": (fit + ["--input", str(bad)], bad),
         }[case]
         assert main(argv) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert str(path) in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
+        assert out == ""
 
 
 #: the table commands that reject a bad cell by name
@@ -744,4 +768,6 @@ class TestCliFuzz:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "spec.json"
             path.write_text(spec)
-            assert run_fuzzed(["simulate", "--spec", str(path), "--out", f"{tmp}/o"]) in (0, 2, 3)
+            code = run_fuzzed(["simulate", "--spec", str(path), "--out", f"{tmp}/o"])
+            assert code in (0, 2, 3)
+            assert code == 0 or not (Path(tmp) / "o").exists()

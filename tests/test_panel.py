@@ -182,7 +182,7 @@ class TestPanelValidation:
 
 
 class TestOwnership:
-    """A caller's array is copied and stays writable; an array just built is kept uncopied."""
+    """A caller's array is copied, even a read-only one; an array just built is kept uncopied."""
 
     def test_a_writable_caller_array_is_copied(self):
         values = np.ones((2, 3))
@@ -200,10 +200,18 @@ class TestOwnership:
         base[0, 0] = 5.0
         assert panel.values[0, 0] == 1.0
 
-    def test_a_frozen_float_array_is_kept(self):
-        values = np.ones((2, 3))
-        values.setflags(write=False)
-        assert make_panel(values).values is values
+    def test_a_read_only_caller_array_is_copied(self):
+        # the caller owns the array, so it can make it writable again after the build
+        for build, values in ((lambda a: MeanVector(a).values, np.ones(3)),
+                              (lambda a: make_panel(a).values, np.ones((2, 3))),
+                              (lambda a: SampleGrid(a).points, np.array([0.25, 0.5, 0.75]))):
+            values.setflags(write=False)
+            kept = build(values)
+            expected = kept.copy()
+            values.setflags(write=True)
+            values.flat[0] = 0.125
+            assert not np.shares_memory(kept, values) and np.array_equal(kept, expected)
+            assert not kept.flags.writeable
         ints = np.ones((2, 3), dtype=int)
         ints.setflags(write=False)
         assert make_panel(ints).values.dtype == np.float64
