@@ -6,7 +6,10 @@ parameters, seed (when randomized), software version and timestamp.
 A command computes and returns its files, its manifest and its stdout
 text; :func:`main` alone creates the directory, writes the files, then
 the manifest, then prints.  So a command that fails before that point
-leaves no output and prints no result.
+leaves no output and prints no result.  ``simulate`` prints its ``seed:``
+line once the whole spec and ``--workers >= 1`` are checked, before any
+replication runs; its manifest's ``failures_by_cause`` counts each
+cell's failed replications by exception class.
 Exit codes: 0 success, 2 usage/input problems, 3 numerical or
 degenerate-data failures.
 """
@@ -295,13 +298,17 @@ def _read_spec(path):
 
 
 def _cmd_simulate(args):
+    if args.workers is not None and args.workers < 1:
+        raise DomainError(f"--workers must be >= 1, got {args.workers}")
     raw, fields = _read_spec(args.spec)
     if fields.get("seed") is None:
         fields["seed"] = secrets.randbits(63)
-    # printed before the replications run, so an interrupted study can be rerun
-    print(f"seed: {fields['seed']}", flush=True)
-    summary = run_monte_carlo(SimulationSpec(**fields), workers=args.workers)
-    params = {"spec": raw, "seed": fields["seed"], "workers": args.workers}
+    spec = SimulationSpec(**fields)
+    print(f"seed: {spec.seed}", flush=True)  # before any replication, so a study can be rerun
+    summary = run_monte_carlo(spec, workers=args.workers)
+    failed = [{"p": r.p, "T": r.T, "sigma2": r.sigma2, "theta_ar": r.theta_ar, "method": r.method,
+               "causes": r.failure_causes} for r in summary.results if r.failures]
+    params = {"spec": raw, "seed": spec.seed, "workers": args.workers, "failures_by_cause": failed}
     return ({"summary.csv": (summary_rows(summary), SUMMARY_COLUMNS)},
             (params, {"spec_file": args.spec}), None)
 
@@ -382,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--spec", required=True)
     p_sim.add_argument("--out", required=True)
     p_sim.add_argument("--workers", type=int, default=None,
-                       help="replication workers (default 1)")
+                       help="replication workers, at least 1 (default 1)")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_imp = sub.add_parser("impute", help="fill missing cells by in-row linear interpolation")

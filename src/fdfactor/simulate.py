@@ -344,9 +344,10 @@ class SimulationSpec:
             raise DomainError(f"unknown study kind {self.kind!r}")
         if self.l_policy not in ("fixed", "plateau"):
             raise DomainError(f"unknown L policy {self.l_policy!r}")
-        unknown = set(self.methods) - {"pca", "bspline"}
-        if unknown:
+        if unknown := set(self.methods) - {"pca", "bspline"}:
             raise DomainError(f"unknown methods {sorted(unknown)}")
+        if repeated := [m for i, m in enumerate(self.methods) if m in self.methods[:i]]:
+            raise DomainError(f"method {repeated[0]!r} is listed more than once")
         if self.replications < 1:
             raise DomainError("replications must be >= 1")
         if self.seed < 0:
@@ -365,9 +366,13 @@ class SimulationSpec:
             if not (0.0 <= s.theta_ar < 1.0 if self.dgp == "smooth" else abs(s.theta_ar) < 1.0):
                 domain = "lie in [0, 1) for the smooth DGP" if self.dgp == "smooth" else "satisfy |theta_ar| < 1"
                 raise DomainError(f"settings[{i}]: theta_ar must {domain}, got {s.theta_ar}")
-        object.__setattr__(self, "settings", tuple(self.settings))
-        object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "levels", tuple(self.levels))
+            if self.kind == "sse":  # only an sse study draws signals, and their config checks them
+                try:
+                    _signal_config(self, s)
+                except (DimensionError, DomainError) as exc:
+                    raise type(exc)(f"settings[{i}]: {exc}") from None
+        for name in ("settings", "methods", "levels"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -391,6 +396,7 @@ class SettingResult:
     rej_inf: Optional[dict] = None
     lambda_fin_median: Optional[float] = None
     lambda_inf_median: Optional[float] = None
+    failure_causes: Optional[dict] = None       # REPLICATION_ERRORS class name -> count
 
 
 @dataclass(frozen=True)
@@ -400,18 +406,18 @@ class SimulationSummary:
     rng_algorithm: str = RNG_ALGORITHM
 
 
-def _generate_panel(spec: SimulationSpec, setting: SimSetting, rng):
-    sigma = float(np.sqrt(setting.sigma2))
+def _signal_config(spec: SimulationSpec, setting: SimSetting):
+    """The DGP config of an sse replication's signals; building it checks them."""
     if spec.dgp == "rough":
-        cfg = RoughDgpConfig(p=setting.p, T=setting.T, sigma2=setting.sigma2)
-        signals, _ = gen_rough_signals(cfg, rng)
-    else:
-        cfg = SmoothDgpConfig(
-            p=setting.p, T=setting.T, sigma=sigma, theta_ar=setting.theta_ar,
-            K=spec.smooth_K, signal_variance=spec.signal_variance,
-        )
-        signals = gen_spline_signals(cfg, rng)
-    noise = gen_ar1_noise(setting.p, setting.T, setting.theta_ar, sigma, rng)
+        return RoughDgpConfig(p=setting.p, T=setting.T, sigma2=setting.sigma2)
+    return SmoothDgpConfig(p=setting.p, T=setting.T, sigma=float(np.sqrt(setting.sigma2)),
+                           theta_ar=setting.theta_ar, K=spec.smooth_K, signal_variance=spec.signal_variance)
+
+
+def _generate_panel(spec: SimulationSpec, setting: SimSetting, rng):
+    cfg = _signal_config(spec, setting)
+    signals = gen_rough_signals(cfg, rng)[0] if spec.dgp == "rough" else gen_spline_signals(cfg, rng)
+    noise = gen_ar1_noise(setting.p, setting.T, setting.theta_ar, float(np.sqrt(setting.sigma2)), rng)
     return signals, add_noise(signals, noise)
 
 
@@ -432,8 +438,8 @@ def _run_sse_rep(spec, si, setting, ri):
                 l_max = min(spec.scree_l_max, min(setting.T - 1, setting.p))
                 _, suggestion, result = plateau_fit(observed, l_max, sel)
                 out[method] = (sse_appr(signals, result.signals), float(suggestion.L))
-        except REPLICATION_ERRORS:
-            out[method] = None
+        except REPLICATION_ERRORS as exc:
+            out[method] = type(exc).__name__
     return out
 
 
@@ -442,9 +448,20 @@ def _run_test_rep(spec, si, setting, ri):
     noise = gen_ar1_noise(setting.p, setting.T, setting.theta_ar, float(np.sqrt(setting.sigma2)), rng)
     try:
         rep = iid_noise_test(noise, _selection(setting.p, setting.T, spec.cutoff, spec.thinning))
-        return (rep.lambda_fin, rep.lambda_inf, rep.p_fin, rep.p_inf)
-    except REPLICATION_ERRORS:
-        return None
+        return {"noise-test": (rep.lambda_fin, rep.lambda_inf, rep.p_fin, rep.p_inf)}
+    except REPLICATION_ERRORS as exc:
+        return {"noise-test": type(exc).__name__}
+
+
+def _aggregate(kind: str, good: np.ndarray) -> dict:
+    """SettingResult statistics of the (n, k) records of a cell's successful replications."""
+    m0, m1 = np.median(good[:, :2], axis=0).tolist()
+    if kind == "sse":  # records (sse, L)
+        return dict(sse_median=m0, l_median=m1, sse_mean=float(np.mean(good[:, 0])))
+    return dict(  # records (lambda_fin, lambda_inf, p_fin, p_inf)
+        rej_fin={lv: float(np.mean(good[:, 2] < lv)) for lv in _LEVELS},
+        rej_inf={lv: float(np.mean(good[:, 3] < lv)) for lv in _LEVELS},
+        lambda_fin_median=m0, lambda_inf_median=m1)
 
 
 def run_monte_carlo(spec: SimulationSpec, workers: Optional[int] = None) -> SimulationSummary:
@@ -453,53 +470,28 @@ def run_monte_carlo(spec: SimulationSpec, workers: Optional[int] = None) -> Simu
     Each (setting, replication) pair draws from its own derived stream
     and results are aggregated in replication order, so thread count and
     scheduling cannot affect the output.  A replication that raises one of
-    ``REPLICATION_ERRORS`` is counted as failed and excluded, never
-    silently dropped; any other exception propagates.
+    ``REPLICATION_ERRORS`` is counted as failed, by the exception's class
+    name, and excluded; any other exception propagates.
     """
     workers = max(1, workers or 1)
     runner = _run_sse_rep if spec.kind == "sse" else _run_test_rep
     R = spec.replications
 
-    per_setting = []
+    results = []
     with ThreadPoolExecutor(max_workers=workers) as ex:
         for si, setting in enumerate(spec.settings):
             run = partial(runner, spec, si, setting)
-            cells = map(run, range(R)) if workers == 1 else ex.map(run, range(R))
-            per_setting.append(list(cells))
-
-    results = []
-    for setting, cells in zip(spec.settings, per_setting):
-        base = dict(
-            dgp=spec.dgp, kind=spec.kind, p=setting.p, T=setting.T,
-            sigma2=setting.sigma2, theta_ar=setting.theta_ar,
-            l_policy=spec.l_policy, replications=R,
-        )
-        if spec.kind == "sse":
-            for method in spec.methods:
-                good = [c[method] for c in cells if c[method] is not None]
-                failures = R - len(good)
-                sse = np.array([v[0] for v in good])
-                ls = np.array([v[1] for v in good])
+            cells = list(map(run, range(R)) if workers == 1 else ex.map(run, range(R)))
+            for method in cells[0]:  # spec.methods in order, or "noise-test"
+                good = [c[method] for c in cells if not isinstance(c[method], str)]
+                failed = [c[method] for c in cells if isinstance(c[method], str)]
                 results.append(SettingResult(
-                    method=method, failures=failures,
-                    l_median=float(np.median(ls)) if good else None,
-                    sse_median=float(np.median(sse)) if good else None,
-                    sse_mean=float(np.mean(sse)) if good else None,
-                    **base,
+                    dgp=spec.dgp, kind=spec.kind, p=setting.p, T=setting.T,
+                    sigma2=setting.sigma2, theta_ar=setting.theta_ar, method=method,
+                    l_policy=spec.l_policy, replications=R, failures=len(failed),
+                    **(_aggregate(spec.kind, np.array(good)) if good else {}),
+                    failure_causes={c: failed.count(c) for c in sorted(set(failed))},
                 ))
-        else:
-            good = [c for c in cells if c is not None]
-            failures = R - len(good)
-            arr = np.array(good) if good else np.empty((0, 4))
-            rej_fin = {lv: float(np.mean(arr[:, 2] < lv)) for lv in spec.levels} if good else None
-            rej_inf = {lv: float(np.mean(arr[:, 3] < lv)) for lv in spec.levels} if good else None
-            results.append(SettingResult(
-                method="noise-test", failures=failures,
-                rej_fin=rej_fin, rej_inf=rej_inf,
-                lambda_fin_median=float(np.median(arr[:, 0])) if good else None,
-                lambda_inf_median=float(np.median(arr[:, 1])) if good else None,
-                **base,
-            ))
     return SimulationSummary(spec=spec, results=tuple(results))
 
 

@@ -405,13 +405,13 @@ class TestSimulateSpecValidation:
         "replications": 2, "seed": 1,
     }
 
-    def run(self, tmp_path, capsys, text):
+    def run(self, tmp_path, capsys, text, *argv):
         path = tmp_path / "spec.json"
         path.write_text(text)
-        code = main(["simulate", "--spec", str(path), "--out", str(tmp_path / "sim")])
-        err = capsys.readouterr().err
+        code = main(["simulate", "--spec", str(path), "--out", str(tmp_path / "sim"), *argv])
+        out, err = capsys.readouterr()
         assert "Traceback" not in err
-        return code, err, str(path)
+        return code, err, str(path), out
 
     def test_base_spec_runs(self, tmp_path, capsys):
         assert self.run(tmp_path, capsys, json.dumps(self.BASE))[0] == 0
@@ -426,25 +426,25 @@ class TestSimulateSpecValidation:
 
     @pytest.mark.parametrize("text", ["{not json", "", "\x00\xff"])
     def test_not_json_exits_2(self, tmp_path, capsys, text):
-        code, err, path = self.run(tmp_path, capsys, text)
+        code, err, path, _ = self.run(tmp_path, capsys, text)
         assert code == 2 and path in err and "JSON" in err
 
     @pytest.mark.parametrize("spec", ["[1, 2]", "3", '"rough"'])
     def test_non_object_exits_2(self, tmp_path, capsys, spec):
-        code, err, path = self.run(tmp_path, capsys, spec)
+        code, err, path, _ = self.run(tmp_path, capsys, spec)
         assert code == 2 and path in err and "JSON object" in err
 
     @pytest.mark.parametrize("key", ["settings", "dgp", "replications"])
     def test_missing_required_key_exits_2(self, tmp_path, capsys, key):
         spec = {k: v for k, v in self.BASE.items() if k != key}
-        code, err, path = self.run(tmp_path, capsys, json.dumps(spec))
+        code, err, path, _ = self.run(tmp_path, capsys, json.dumps(spec))
         assert code == 2 and path in err and repr(key) in err
 
     @pytest.mark.parametrize("key", ["p", "T", "sigma2"])
     def test_missing_setting_key_exits_2(self, tmp_path, capsys, key):
         setting = {k: v for k, v in self.BASE["settings"][0].items() if k != key}
-        code, err, path = self.run(tmp_path, capsys,
-                                   json.dumps({**self.BASE, "settings": [setting]}))
+        code, err, path, _ = self.run(tmp_path, capsys,
+                                      json.dumps({**self.BASE, "settings": [setting]}))
         assert code == 2 and path in err and "settings[0]" in err and repr(key) in err
 
     @pytest.mark.parametrize("key, value", [
@@ -454,7 +454,7 @@ class TestSimulateSpecValidation:
         ("scree_l_max", None), ("smooth_K", "21"), ("signal_variance", [25]),
     ])
     def test_wrongly_typed_field_exits_2(self, tmp_path, capsys, key, value):
-        code, err, path = self.run(tmp_path, capsys, json.dumps({**self.BASE, key: value}))
+        code, err, path, _ = self.run(tmp_path, capsys, json.dumps({**self.BASE, key: value}))
         assert code == 2 and path in err
         assert repr(key) in err or "settings[0]" in err
 
@@ -462,23 +462,23 @@ class TestSimulateSpecValidation:
                                             ("theta_ar", "0.2")])
     def test_wrongly_typed_setting_exits_2(self, tmp_path, capsys, key, value):
         setting = {**self.BASE["settings"][0], key: value}
-        code, err, path = self.run(tmp_path, capsys,
-                                   json.dumps({**self.BASE, "settings": [setting]}))
+        code, err, path, _ = self.run(tmp_path, capsys,
+                                      json.dumps({**self.BASE, "settings": [setting]}))
         assert code == 2 and path in err and "settings[0]" in err and repr(key) in err
 
     @pytest.mark.parametrize("key, value", [("l_fixed", 5), ("l_polcy", "plateau")])
     def test_unknown_key_exits_2(self, tmp_path, capsys, key, value):
-        code, err, path = self.run(tmp_path, capsys, json.dumps({**self.BASE, key: value}))
+        code, err, path, _ = self.run(tmp_path, capsys, json.dumps({**self.BASE, key: value}))
         assert code == 2 and path in err and repr(key) in err
 
     def test_unknown_setting_key_exits_2(self, tmp_path, capsys):
         setting = {**self.BASE["settings"][0], "theta": 0.4}
-        code, err, path = self.run(tmp_path, capsys,
-                                   json.dumps({**self.BASE, "settings": [setting]}))
+        code, err, path, _ = self.run(tmp_path, capsys,
+                                      json.dumps({**self.BASE, "settings": [setting]}))
         assert code == 2 and path in err and "settings[0]" in err and "'theta'" in err
 
     def test_negative_seed_exits_2(self, tmp_path, capsys):
-        code, err, _ = self.run(tmp_path, capsys, json.dumps({**self.BASE, "seed": -1}))
+        code, err, _, _ = self.run(tmp_path, capsys, json.dumps({**self.BASE, "seed": -1}))
         assert code == 2 and "seed" in err
 
     @pytest.mark.parametrize("fields, key", [
@@ -490,8 +490,8 @@ class TestSimulateSpecValidation:
             "signal_variance-nan", "signal_variance-neg"])
     def test_value_outside_its_domain_exits_2(self, tmp_path, capsys, fields, key):
         text = json.dumps({**self.BASE, **fields}).replace('"NaN"', "NaN")
-        code, err, _ = self.run(tmp_path, capsys, text)
-        assert code == 2 and key in err
+        code, err, _, out = self.run(tmp_path, capsys, text)
+        assert code == 2 and key in err and out == ""
         assert not (tmp_path / "sim").exists()
 
     @pytest.mark.parametrize("dgp, kind, theta_ar", [
@@ -507,8 +507,37 @@ class TestSimulateSpecValidation:
         settings = [{"p": 20, "T": 40, "sigma2": 0.05},
                     {"p": 20, "T": 40, "sigma2": 0.05, "theta_ar": theta_ar}]
         spec = {**self.BASE, "dgp": dgp, "kind": kind, "settings": settings}
-        code, err, _ = self.run(tmp_path, capsys, json.dumps(spec))
+        code, err, _, _ = self.run(tmp_path, capsys, json.dumps(spec))
         assert code == 2 and "settings[1]" in err and "theta_ar" in err and str(theta_ar) in err
+        assert calls == [] and not (tmp_path / "sim").exists()
+
+    def spy_runners(self, monkeypatch):
+        import fdfactor.simulate as simulate
+
+        calls = []
+        for runner in ("_run_sse_rep", "_run_test_rep"):
+            monkeypatch.setattr(simulate, runner, lambda *a: calls.append(a))
+        return calls
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"settings": [{"p": 20, "T": 40, "sigma2": 0.05}, {"p": 2, "T": 40, "sigma2": 0.05}],
+          "replications": 50}, "settings[1]: rough DGP needs p >= 3, got 2"),
+        ({"methods": ["pca", "pca"], "replications": 3}, "method 'pca' is listed more than once"),
+        ({"dgp": "smooth", "smooth_K": 2}, "settings[0]: spline basis needs K >= 4, got 2"),
+    ], ids=["rough-p-2-later", "repeated-method", "smooth_K-2"])
+    def test_spec_fault_exits_2_before_the_seed_line_and_any_replication(
+            self, tmp_path, capsys, monkeypatch, fields, message):
+        calls = self.spy_runners(monkeypatch)
+        code, err, _, out = self.run(tmp_path, capsys, json.dumps({**self.BASE, **fields}))
+        assert code == 2 and message in err and out == ""
+        assert calls == [] and not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exits_2_before_the_seed_line(
+            self, tmp_path, capsys, monkeypatch, workers):
+        calls = self.spy_runners(monkeypatch)
+        code, err, _, out = self.run(tmp_path, capsys, json.dumps(self.BASE), "--workers", workers)
+        assert code == 2 and "--workers" in err and workers in err and out == ""
         assert calls == [] and not (tmp_path / "sim").exists()
 
     @pytest.mark.parametrize("kind", ["sse", "noise-test"])
@@ -525,8 +554,23 @@ class TestSimulateSpecValidation:
     def test_invalid_sigma2_exits_2(self, tmp_path, capsys, dgp, kind, sigma2):
         setting = {"p": 20, "T": 40, "sigma2": sigma2}
         text = json.dumps({**self.BASE, "dgp": dgp, "kind": kind, "settings": [setting]})
-        code, err, _ = self.run(tmp_path, capsys, text.replace('"NaN"', "NaN"))
+        code, err, _, _ = self.run(tmp_path, capsys, text.replace('"NaN"', "NaN"))
         assert code == 2 and "sigma2" in err and str(float(sigma2)) in err
+
+    @pytest.mark.parametrize("kind, method", [("sse", "pca"), ("noise-test", "noise-test")])
+    def test_manifest_names_the_cause_of_each_failed_cell(self, tmp_path, capsys, kind, method):
+        # the spec of test_selection_fault_of_a_setting_counts_as_failures, plus a setting that runs
+        settings = [{"p": 8, "T": 40, "sigma2": 0.05}, {"p": 40, "T": 40, "sigma2": 0.05}]
+        spec = {**self.BASE, "kind": kind, "settings": settings,
+                "l_policy": "plateau", "cutoff": 0.5, "thinning": 3}
+        code, _, _, out = self.run(tmp_path, capsys, json.dumps(spec))
+        assert code == 0 and out == "seed: 1\n"
+        with open(tmp_path / "sim" / "summary.csv") as fh:
+            assert [row["failures"] for row in csv.DictReader(fh)] == ["2", "0"]
+        manifest = json.loads((tmp_path / "sim" / "manifest.json").read_text())
+        assert manifest["parameters"]["failures_by_cause"] == [
+            {"p": 8, "T": 40, "sigma2": 0.05, "theta_ar": 0.0, "method": method,
+             "causes": {"SelectionError": 2}}]
 
 
 class TestIoFaults:

@@ -25,6 +25,7 @@ from fdfactor import (
     gen_ar1_noise,
     gen_rough_signals,
     gen_spline_signals,
+    iid_noise_test,
     lambda_scree,
     rough_components,
     run_monte_carlo,
@@ -32,6 +33,7 @@ from fdfactor import (
     sse_appr,
     suggest_plateau_L,
 )
+from fdfactor.diagnostics import _selection
 from fdfactor.simulate import (
     _generate_panel,
     _quadrature_variance,
@@ -488,3 +490,55 @@ class TestMonteCarloHarness:
             self.spec(methods=("pca", "magic"))
         with pytest.raises(DomainError):
             self.spec(kind="other")
+
+    def test_noise_test_settings_match_an_oracle_of_the_replication_streams(self):
+        settings = [SimSetting(p=40, T=60, sigma2=1.0), SimSetting(p=40, T=60, sigma2=2.0, theta_ar=0.5)]
+        spec = self.spec(kind="noise-test", settings=settings, replications=10, thinning=2)
+        results = run_monte_carlo(spec).results
+        assert [row.method for row in results] == ["noise-test", "noise-test"]
+        for si, (setting, row) in enumerate(zip(settings, results)):
+            reps = []
+            for ri in range(spec.replications):
+                noise = gen_ar1_noise(setting.p, setting.T, setting.theta_ar, np.sqrt(setting.sigma2),
+                                      replication_rng(spec.seed, si, ri))
+                reps.append(iid_noise_test(noise, _selection(setting.p, setting.T, spec.cutoff, 2)))
+            p_fin = np.array([r.p_fin for r in reps])
+            p_inf = np.array([r.p_inf for r in reps])
+            assert (row.failures, row.failure_causes) == (0, {})
+            assert row.rej_fin == {lv: float(np.mean(p_fin < lv)) for lv in (0.01, 0.05, 0.10)}
+            assert row.rej_inf == {lv: float(np.mean(p_inf < lv)) for lv in (0.01, 0.05, 0.10)}
+            assert row.lambda_fin_median == float(np.median([r.lambda_fin for r in reps]))
+            assert row.lambda_inf_median == float(np.median([r.lambda_inf for r in reps]))
+            assert row.l_median is row.sse_median is row.sse_mean is None
+
+    def test_a_method_that_fails_every_replication_keeps_its_row_in_method_order(self):
+        # at p=3 the cubic B-spline baseline needs K=4 > p functions; pca fits
+        spec = self.spec(settings=[SimSetting(p=3, T=30, sigma2=0.1)], methods=("pca", "bspline"))
+        pca, bspline = run_monte_carlo(spec, workers=2).results
+        assert (pca.method, bspline.method) == ("pca", "bspline")
+        assert (pca.failures, pca.failure_causes) == (0, {})
+        assert None not in (pca.l_median, pca.sse_median, pca.sse_mean)
+        assert (bspline.failures, bspline.failure_causes) == (5, {"DimensionError": 5})
+        assert (bspline.l_median, bspline.sse_median, bspline.sse_mean) == (None, None, None)
+        assert (bspline.rej_fin, bspline.lambda_fin_median) == (None, None)
+
+    def test_failures_are_counted_by_cause(self):
+        row = run_monte_carlo(self.spec(l_fixed=25)).results[0]  # L > min(T - 1, p)
+        assert (row.failures, row.failure_causes) == (5, {"OrderError": 5})
+
+    @pytest.mark.parametrize("fields, error, message", [
+        ({"settings": [SimSetting(p=20, T=30, sigma2=0.1), SimSetting(p=2, T=30, sigma2=0.1)]},
+         DimensionError, r"^settings\[1\]: rough DGP needs p >= 3, got 2$"),
+        ({"methods": ["pca", "bspline", "pca"]}, DomainError, "'pca' is listed more than once"),
+        ({"dgp": "smooth", "smooth_K": 3}, DimensionError, r"^settings\[0\]: spline basis needs K >= 4, got 3$"),
+        ({"dgp": "smooth", "signal_variance": float("nan")}, DomainError, r"^settings\[0\]: .*signal_variance"),
+    ], ids=["rough-p-2", "repeated-method", "smooth_K-3", "signal_variance-nan"])
+    def test_a_signal_the_study_cannot_generate_is_rejected_by_the_spec(self, fields, error, message):
+        with pytest.raises(error, match=message):
+            self.spec(**fields)
+
+    def test_a_noise_test_study_draws_no_signal_so_signal_keys_are_not_checked(self):
+        self.spec(kind="noise-test", dgp="smooth", smooth_K=3, signal_variance=float("nan"))
+        spec = self.spec(kind="noise-test", settings=[SimSetting(p=2, T=30, sigma2=0.1)])
+        row = run_monte_carlo(spec).results[0]  # the test itself has too few grid points
+        assert (row.failures, row.failure_causes) == (5, {"DimensionError": 5})
