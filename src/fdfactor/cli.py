@@ -9,7 +9,8 @@ the manifest, then prints.  So a command that fails before that point
 leaves no output and prints no result.  ``simulate`` prints its ``seed:``
 line once the whole spec and ``--workers >= 1`` are checked, before any
 replication runs; its manifest's ``failures_by_cause`` counts each
-cell's failed replications by exception class.
+cell's failed replications by exception class, and ``blas_threads_per_worker``
+is 1 when each replication thread ran on one BLAS thread, else null.
 Exit codes: 0 success, 2 usage/input problems, 3 numerical or
 degenerate-data failures.
 """
@@ -308,7 +309,8 @@ def _cmd_simulate(args):
     summary = run_monte_carlo(spec, workers=args.workers)
     failed = [{"p": r.p, "T": r.T, "sigma2": r.sigma2, "theta_ar": r.theta_ar, "method": r.method,
                "causes": r.failure_causes} for r in summary.results if r.failures]
-    params = {"spec": raw, "seed": spec.seed, "workers": args.workers, "failures_by_cause": failed}
+    params = {"spec": raw, "seed": spec.seed, "workers": args.workers, "failures_by_cause": failed,
+              "blas_threads_per_worker": summary.blas_threads_per_worker}
     return ({"summary.csv": (summary_rows(summary), SUMMARY_COLUMNS)},
             (params, {"spec_file": args.spec}), None)
 
@@ -389,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--spec", required=True)
     p_sim.add_argument("--out", required=True)
     p_sim.add_argument("--workers", type=int, default=None,
-                       help="replication workers, at least 1 (default 1)")
+                       help="replication threads, each on one BLAS thread, at least 1 (default 1)")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_imp = sub.add_parser("impute", help="fill missing cells by in-row linear interpolation")

@@ -128,8 +128,7 @@ def _fit_spectrum(panel: ObservationPanel, spectrum: _CenteredSpectrum, L: int) 
     E = spectrum.leading_vectors(L, "t")
 
     fit_warnings = []
-    n_avail = min(T, panel.p)
-    if L < n_avail and vals[0] > 0 and (vals[L - 1] - vals[L]) < DEGENERATE_GAP * vals[0]:
+    if L < min(T, panel.p) and vals[0] > 0 and (vals[L - 1] - vals[L]) < DEGENERATE_GAP * vals[0]:
         fit_warnings.append(
             f"eigengap between kept and dropped eigenvalues is below "
             f"{DEGENERATE_GAP:g} * gamma_1; the L-dimensional projector is "

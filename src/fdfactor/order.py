@@ -101,7 +101,8 @@ def _scree_spectrum(spectrum: _CenteredSpectrum, l_max: int, sel: FrequencySelec
         for B in (C, _second_differences(spectrum.centered)):
             A = E.T @ B
             tail = np.cumsum(np.vstack([np.zeros_like(A[:1]), A[:0:-1] ** 2]), axis=0)[::-1]
-            energy.append(np.sum((B - E @ A) ** 2, axis=0) + tail)
+            R = E @ A  # B - EA and its square are formed in place
+            energy.append(np.sum(np.square(np.subtract(B, R, out=R), out=R), axis=0) + tail)
         xi = energy[0].reshape(l_max, sel.f, 2).sum(axis=2) / (p * T)
         sigma2 = energy[1].sum(axis=1) / (6.0 * (p - 2) * T)
     stats = [_noise_statistics(x, s2, T, sel.f)[2] for x, s2 in zip(xi, sigma2.tolist())]

@@ -15,6 +15,7 @@ import itertools
 import json
 import os
 import weakref
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import IO, Iterable, Union
 
@@ -307,16 +308,10 @@ def _write_rows(dest: Source, rows, header=None) -> None:
     Every float reads back bit-identically.  ``header``, when given, is
     written as the first line.
     """
-    def _write(fh):
+    with nullcontext(dest) if hasattr(dest, "write") else open(dest, "w", newline="") as fh:
         for row in rows if header is None else itertools.chain([header], rows):
             cells = map(repr, row.tolist()) if isinstance(row, np.ndarray) else map(_cell, row)
             fh.write(",".join(cells) + "\n")
-
-    if hasattr(dest, "write"):
-        _write(dest)
-    else:
-        with open(dest, "w", newline="") as fh:
-            _write(fh)
 
 
 def _write_files(files: dict, out_dir="") -> None:

@@ -16,9 +16,11 @@ so results are reproducible bit for bit regardless of scheduling.
 
 from __future__ import annotations
 
+import ctypes
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -179,8 +181,10 @@ class SmoothDgpConfig:
             raise DomainError(f"AR coefficient must lie in [0, 1), got {self.theta_ar}")
         if self.p < 2 or self.T < 2:
             raise DimensionError("smooth DGP needs p >= 2 and T >= 2")
-        if not (self.sigma >= 0 and self.signal_variance >= 0):
-            raise DomainError("sigma and signal_variance must be nonnegative")
+        if not 0 <= self.sigma < np.inf:
+            raise DomainError(f"sigma must be finite and nonnegative, got {self.sigma}")
+        if not 0 <= self.signal_variance < np.inf:
+            raise DomainError(f"signal_variance must be finite and nonnegative, got {self.signal_variance}")
 
 
 def coefficient_variances(K: int, signal_variance: float) -> np.ndarray:
@@ -360,6 +364,8 @@ class SimulationSpec:
             raise DomainError(f"l_fixed (spec key 'l') must be >= 1, got {self.l_fixed}")
         if self.scree_l_max < 4:
             raise DomainError(f"scree_l_max must be >= 4, got {self.scree_l_max}")
+        if self.kind == "sse" and self.dgp == "smooth" and self.smooth_K < 4:  # checked once, by name
+            raise DimensionError(f"smooth_K must be >= 4 for the cubic spline basis, got {self.smooth_K}")
         if tuple(self.levels) != _LEVELS:
             raise DomainError(f"levels must be {_LEVELS}, got {tuple(self.levels)}")
         for i, s in enumerate(self.settings):  # as SmoothDgpConfig and gen_ar1_noise check it
@@ -404,6 +410,7 @@ class SimulationSummary:
     spec: SimulationSpec
     results: tuple
     rng_algorithm: str = RNG_ALGORITHM
+    blas_threads_per_worker: Optional[int] = None  # None: the BLAS kept its own thread count
 
 
 def _signal_config(spec: SimulationSpec, setting: SimSetting):
@@ -421,8 +428,7 @@ def _generate_panel(spec: SimulationSpec, setting: SimSetting, rng):
     return signals, add_noise(signals, noise)
 
 
-def _run_sse_rep(spec, si, setting, ri):
-    rng = replication_rng(spec.seed, si, ri)
+def _run_sse_rep(spec, setting, rng):
     signals, observed = _generate_panel(spec, setting, rng)
     out = {}
     for method in spec.methods:
@@ -443,8 +449,7 @@ def _run_sse_rep(spec, si, setting, ri):
     return out
 
 
-def _run_test_rep(spec, si, setting, ri):
-    rng = replication_rng(spec.seed, si, ri)
+def _run_test_rep(spec, setting, rng):
     noise = gen_ar1_noise(setting.p, setting.T, setting.theta_ar, float(np.sqrt(setting.sigma2)), rng)
     try:
         rep = iid_noise_test(noise, _selection(setting.p, setting.T, spec.cutoff, spec.thinning))
@@ -464,35 +469,62 @@ def _aggregate(kind: str, good: np.ndarray) -> dict:
         lambda_fin_median=m0, lambda_inf_median=m1)
 
 
+@lru_cache(maxsize=1)
+def _blas_thread_setter():
+    """``openblas_set_num_threads_local`` of numpy's OpenBLAS: sets the process's count, returns the old."""
+    root = Path(np.__file__).parent  # Linux wheels bundle it in numpy.libs/, macOS wheels in .dylibs/
+    libs = [*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]
+    setter = getattr(ctypes.CDLL(str(libs[0])), "openblas_set_num_threads_local", None) if libs else None
+    if setter is not None:  # None: another BLAS, an older OpenBLAS or a conda layout
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+    return setter
+
+
 def run_monte_carlo(spec: SimulationSpec, workers: Optional[int] = None) -> SimulationSummary:
     """Run a full study grid; deterministic for a given spec regardless of workers.
 
     Each (setting, replication) pair draws from its own derived stream
     and results are aggregated in replication order, so thread count and
-    scheduling cannot affect the output.  A replication that raises one of
-    ``REPLICATION_ERRORS`` is counted as failed, by the exception's class
-    name, and excluded; any other exception propagates.
+    scheduling cannot affect the output.  Replications run on ``workers``
+    pool threads while numpy's OpenBLAS, where it can be set, runs on one
+    thread; its process-wide count is restored when the study ends.  A
+    replication that raises one of ``REPLICATION_ERRORS`` is counted as
+    failed, by its exception's class name, and excluded; any other
+    exception propagates.
     """
     workers = max(1, workers or 1)
     runner = _run_sse_rep if spec.kind == "sse" else _run_test_rep
     R = spec.replications
+    firsts = range(0, R, -(-R // workers))  # one contiguous chunk of each setting per worker
+
+    def run_chunk(task):
+        si, first = task
+        return [runner(spec, spec.settings[si], replication_rng(spec.seed, si, ri))
+                for ri in range(R)[first:first + firsts.step]]
 
     results = []
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        for si, setting in enumerate(spec.settings):
-            run = partial(runner, spec, si, setting)
-            cells = list(map(run, range(R)) if workers == 1 else ex.map(run, range(R)))
-            for method in cells[0]:  # spec.methods in order, or "noise-test"
-                good = [c[method] for c in cells if not isinstance(c[method], str)]
-                failed = [c[method] for c in cells if isinstance(c[method], str)]
-                results.append(SettingResult(
-                    dgp=spec.dgp, kind=spec.kind, p=setting.p, T=setting.T,
-                    sigma2=setting.sigma2, theta_ar=setting.theta_ar, method=method,
-                    l_policy=spec.l_policy, replications=R, failures=len(failed),
-                    **(_aggregate(spec.kind, np.array(good)) if good else {}),
-                    failure_causes={c: failed.count(c) for c in sorted(set(failed))},
-                ))
-    return SimulationSummary(spec=spec, results=tuple(results))
+    set_threads = _blas_thread_setter()
+    previous = set_threads(1) if set_threads else None  # idle OpenBLAS threads would spin-wait
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            # map queues every chunk at once, yields them in order and cancels the rest on a fault
+            chunks = ex.map(run_chunk, [(si, first) for si in range(len(spec.settings)) for first in firsts])
+            for setting in spec.settings:
+                cells = [c for _ in firsts for c in next(chunks)]
+                for method in cells[0]:  # spec.methods in order, or "noise-test"
+                    good = [c[method] for c in cells if not isinstance(c[method], str)]
+                    failed = [c[method] for c in cells if isinstance(c[method], str)]
+                    results.append(SettingResult(
+                        dgp=spec.dgp, kind=spec.kind, p=setting.p, T=setting.T,
+                        sigma2=setting.sigma2, theta_ar=setting.theta_ar, method=method,
+                        l_policy=spec.l_policy, replications=R, failures=len(failed),
+                        **(_aggregate(spec.kind, np.array(good)) if good else {}),
+                        failure_causes={c: failed.count(c) for c in sorted(set(failed))},
+                    ))
+    finally:  # the caller's count back, after a fault or an interrupt too
+        if set_threads:
+            set_threads(previous)
+    return SimulationSummary(spec, tuple(results), blas_threads_per_worker=1 if set_threads else None)
 
 
 SUMMARY_COLUMNS = (
@@ -506,17 +538,10 @@ SUMMARY_COLUMNS = (
 
 def summary_rows(summary: SimulationSummary):
     """Flatten a summary into CSV rows following ``SUMMARY_COLUMNS``."""
-    rows = []
-    for r in summary.results:
-        rf = r.rej_fin or {}
-        ri = r.rej_inf or {}
-        rows.append([
-            r.dgp, r.kind, r.p, r.T, r.sigma2, r.theta_ar, r.method, r.l_policy,
-            r.replications, r.failures, r.l_median, r.sse_median, r.sse_mean,
-            *map(rf.get, _LEVELS), *map(ri.get, _LEVELS),
-            r.lambda_fin_median, r.lambda_inf_median,
-        ])
-    return rows
+    return [[r.dgp, r.kind, r.p, r.T, r.sigma2, r.theta_ar, r.method, r.l_policy,
+             r.replications, r.failures, r.l_median, r.sse_median, r.sse_mean,
+             *map((r.rej_fin or {}).get, _LEVELS), *map((r.rej_inf or {}).get, _LEVELS),
+             r.lambda_fin_median, r.lambda_inf_median] for r in summary.results]
 
 
 def write_summary_csv(summary: SimulationSummary, path) -> None:

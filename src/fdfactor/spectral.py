@@ -37,9 +37,7 @@ def eigh_descending(matrix: np.ndarray):
             f"(n={matrix.shape[0]}, fro-norm={np.linalg.norm(matrix):.3e}): {exc}"
         ) from exc
     vals = vals[::-1]
-    vecs = vecs[:, ::-1]
-    vals = np.where(vals < 0, 0.0, vals)
-    return vals, apply_sign_convention(vecs)
+    return np.where(vals < 0, 0.0, vals), apply_sign_convention(vecs[:, ::-1])
 
 
 def apply_sign_convention(vecs: np.ndarray) -> np.ndarray:

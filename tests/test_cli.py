@@ -523,7 +523,7 @@ class TestSimulateSpecValidation:
         ({"settings": [{"p": 20, "T": 40, "sigma2": 0.05}, {"p": 2, "T": 40, "sigma2": 0.05}],
           "replications": 50}, "settings[1]: rough DGP needs p >= 3, got 2"),
         ({"methods": ["pca", "pca"], "replications": 3}, "method 'pca' is listed more than once"),
-        ({"dgp": "smooth", "smooth_K": 2}, "settings[0]: spline basis needs K >= 4, got 2"),
+        ({"dgp": "smooth", "smooth_K": 2}, "smooth_K must be >= 4 for the cubic spline basis, got 2"),
     ], ids=["rough-p-2-later", "repeated-method", "smooth_K-2"])
     def test_spec_fault_exits_2_before_the_seed_line_and_any_replication(
             self, tmp_path, capsys, monkeypatch, fields, message):
@@ -531,6 +531,22 @@ class TestSimulateSpecValidation:
         code, err, _, out = self.run(tmp_path, capsys, json.dumps({**self.BASE, **fields}))
         assert code == 2 and message in err and out == ""
         assert calls == [] and not (tmp_path / "sim").exists()
+
+    def test_signal_variance_beyond_the_float_range_exits_2_naming_it(self, tmp_path, capsys, monkeypatch):
+        # 1e400 parses to inf; no replication may run on it, or warn on stderr
+        calls = self.spy_runners(monkeypatch)
+        text = json.dumps({**self.BASE, "dgp": "smooth"})[:-1] + ', "signal_variance": 1e400}'
+        code, err, _, out = self.run(tmp_path, capsys, text)
+        assert (code, out) == (2, "")
+        assert err == "error: settings[0]: signal_variance must be finite and nonnegative, got inf\n"
+        assert calls == [] and not (tmp_path / "sim").exists()
+
+    def test_smooth_k_below_four_is_named_once_for_the_whole_spec(self, tmp_path, capsys):
+        settings = [{"p": 20, "T": 40, "sigma2": 0.05}, {"p": 30, "T": 40, "sigma2": 0.05}]
+        text = json.dumps({**self.BASE, "dgp": "smooth", "settings": settings, "smooth_K": 3})
+        code, err, _, out = self.run(tmp_path, capsys, text)
+        assert (code, out) == (2, "")
+        assert err == "error: smooth_K must be >= 4 for the cubic spline basis, got 3\n"
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exits_2_before_the_seed_line(
@@ -571,6 +587,17 @@ class TestSimulateSpecValidation:
         assert manifest["parameters"]["failures_by_cause"] == [
             {"p": 8, "T": 40, "sigma2": 0.05, "theta_ar": 0.0, "method": method,
              "causes": {"SelectionError": 2}}]
+
+    @pytest.mark.parametrize("found", [True, False])
+    def test_manifest_records_the_blas_threads_of_each_worker(self, tmp_path, capsys, monkeypatch, found):
+        import fdfactor.simulate as simulate
+
+        if not found:
+            monkeypatch.setattr(simulate, "_blas_thread_setter", lambda: None)
+        assert self.run(tmp_path, capsys, json.dumps(self.BASE), "--workers", "2")[0] == 0
+        manifest = json.loads((tmp_path / "sim" / "manifest.json").read_text())
+        expected = 1 if found and simulate._blas_thread_setter() is not None else None
+        assert manifest["parameters"]["blas_threads_per_worker"] == expected
 
 
 class TestIoFaults:

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +185,12 @@ class TestSmoothDgp:
             SmoothDgpConfig(p=24, T=10, sigma=1.0, theta_ar=1.0)
         with pytest.raises(DimensionError):
             SmoothDgpConfig(p=24, T=10, sigma=1.0, K=3)
+
+    @pytest.mark.parametrize("field", ["sigma", "signal_variance"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), -1.0])
+    def test_scales_must_be_finite_and_nonnegative(self, field, value):
+        with pytest.raises(DomainError, match=rf"^{field} must be finite and nonnegative, got {value}$"):
+            SmoothDgpConfig(p=24, T=10, **{"sigma": 1.0, field: value})
 
 
 class TestAr1Noise:
@@ -389,6 +396,70 @@ class TestMonteCarloHarness:
             run_monte_carlo(spec, workers=workers)
         assert pools == [1, 1, 1, 2]
 
+    @staticmethod
+    def fake_blas(monkeypatch):
+        """A process-wide BLAS thread count, 2, behind a fake ``openblas_set_num_threads_local``."""
+        import fdfactor.simulate as simulate
+
+        count = [2]
+
+        def set_threads(n):
+            previous, count[0] = count[0], n
+            return previous
+
+        monkeypatch.setattr(simulate, "_blas_thread_setter", lambda: set_threads)
+        return count
+
+    @pytest.mark.parametrize("kind", ["sse", "noise-test"])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_every_replication_runs_on_one_blas_thread_and_the_count_comes_back(
+            self, monkeypatch, kind, workers):
+        import fdfactor.simulate as simulate
+
+        count, seen = self.fake_blas(monkeypatch), []
+        runner = "_run_sse_rep" if kind == "sse" else "_run_test_rep"
+        real = getattr(simulate, runner)
+
+        def spy(*args):
+            seen.append((threading.get_ident(), count[0]))
+            return real(*args)
+
+        monkeypatch.setattr(simulate, runner, spy)
+        settings = [SimSetting(p=20, T=30, sigma2=0.1), SimSetting(p=15, T=25, sigma2=0.05)]
+        summary = run_monte_carlo(self.spec(kind=kind, settings=settings, replications=7), workers)
+        assert len(seen) == 14 and {c for _, c in seen} == {1}
+        assert threading.get_ident() not in {t for t, _ in seen}  # replications run on the pool
+        assert count == [2] and summary.blas_threads_per_worker == 1
+
+    def test_numpy_openblas_count_is_given_back(self):
+        from fdfactor.simulate import _blas_thread_setter
+
+        setter = _blas_thread_setter()
+        if setter is None:
+            pytest.skip("numpy's BLAS has no openblas_set_num_threads_local")
+        previous = setter(2)
+        try:
+            assert run_monte_carlo(self.spec()).blas_threads_per_worker == 1
+        finally:
+            assert setter(previous) == 2
+
+    @pytest.mark.parametrize("spec", [
+        dict(dgp="smooth", settings=[SimSetting(p=40, T=30, sigma2=0.1, theta_ar=0.3)],
+             methods=("pca", "bspline"), l_policy="plateau", scree_l_max=6, smooth_K=8),
+        dict(kind="noise-test", thinning=2,
+             settings=[SimSetting(p=60, T=40, sigma2=1.0), SimSetting(p=60, T=40, sigma2=1.0, theta_ar=0.4)]),
+    ], ids=["plateau-smooth", "noise-test"])
+    def test_without_a_per_thread_blas_count_the_summary_is_unchanged(self, monkeypatch, spec):
+        import fdfactor.simulate as simulate
+
+        spec = self.spec(replications=6, **spec)
+        expected = summary_rows(run_monte_carlo(spec))
+        monkeypatch.setattr(simulate, "_blas_thread_setter", lambda: None)
+        for workers in (1, 2, 4):
+            summary = run_monte_carlo(spec, workers=workers)
+            assert summary.blas_threads_per_worker is None
+            assert summary_rows(summary) == expected
+
     def test_failed_replications_are_counted(self):
         # L exceeds min(T-1, p) in every replication: all fail, none hide
         spec = self.spec(l_fixed=25)
@@ -408,9 +479,11 @@ class TestMonteCarloHarness:
             raise TypeError("a bug, not a failed replication")
 
         monkeypatch.setattr(simulate, target, broken)
+        count = self.fake_blas(monkeypatch)
         spec = self.spec(kind=kind, settings=[SimSetting(p=20, T=30, sigma2=0.1)])
         with pytest.raises(TypeError):
             run_monte_carlo(spec, workers=workers)
+        assert count == [2]  # the BLAS thread count comes back after a fault too
 
     def test_shared_caches_under_many_threads(self):
         spec = self.spec(
@@ -530,7 +603,7 @@ class TestMonteCarloHarness:
         ({"settings": [SimSetting(p=20, T=30, sigma2=0.1), SimSetting(p=2, T=30, sigma2=0.1)]},
          DimensionError, r"^settings\[1\]: rough DGP needs p >= 3, got 2$"),
         ({"methods": ["pca", "bspline", "pca"]}, DomainError, "'pca' is listed more than once"),
-        ({"dgp": "smooth", "smooth_K": 3}, DimensionError, r"^settings\[0\]: spline basis needs K >= 4, got 3$"),
+        ({"dgp": "smooth", "smooth_K": 3}, DimensionError, r"^smooth_K must be >= 4 .*, got 3$"),
         ({"dgp": "smooth", "signal_variance": float("nan")}, DomainError, r"^settings\[0\]: .*signal_variance"),
     ], ids=["rough-p-2", "repeated-method", "smooth_K-3", "signal_variance-nan"])
     def test_a_signal_the_study_cannot_generate_is_rejected_by_the_spec(self, fields, error, message):
