@@ -49,9 +49,7 @@ from .errors import (
 from .factor import _fit_files, fit, load_fit_residuals
 from .order import _scree_spectrum, plateau_fit, suggest_plateau_L
 from .panel import (
-    ObservationPanel,
     SampleGrid,
-    _frozen,
     _require_finite,
     _write_files,
     impute_missing,
@@ -119,6 +117,8 @@ def _xi_table(sel, xi):
 def _cmd_fit(args):
     if sum([args.L is not None, args.scree_auto, args.mean_only]) != 1:
         raise OrderError("choose exactly one of --L, --scree-auto, --mean-only")
+    if args.mean_only and args.trace_curve is not None:
+        raise OrderError("--trace-curve needs --L or --scree-auto; --mean-only fits no factors")
     panel = load_panel(args.input, header=args.header)
     params = {"input": str(args.input), "header": args.header}
 
@@ -318,8 +318,7 @@ def _cmd_simulate(args):
 def _cmd_impute(args):
     values, grid_points = read_table_with_missing(args.input, header=args.header)
     grid = SampleGrid(grid_points) if grid_points is not None else SampleGrid.midpoints(values.shape[1])
-    panel = ObservationPanel(_frozen(impute_missing(values, grid)), grid)
-    return {args.out: (panel.values, grid.points if args.header else None)}, None, None
+    return {args.out: (impute_missing(values, grid), grid_points)}, None, None
 
 
 # ---------------------------------------------------------------------------

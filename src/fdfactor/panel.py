@@ -5,6 +5,9 @@ per row.  All containers are immutable after construction and all
 operations are pure, so values can be shared freely across threads.
 A container copies any array the caller owns, even a read-only one; an
 array the library has just built is frozen in place and kept uncopied.
+Both table readers share one reader, which turns each row into floats as
+it reads it and names a fault in reading order: a header cell, the grid,
+each data row, then the table's shape, then its missing and non-finite cells.
 """
 
 from __future__ import annotations
@@ -225,40 +228,30 @@ def _read_bulk(fh):
         return None
 
 
-def _read_rows(source: Source, header: bool):
-    """Non-empty rows of a table, with the parsed header row split off.
+def _read_table(source: Source, header: bool):
+    """A table's grid (its parsed header row, or None) and its data rows as one float array.
 
     The C reader converts a file it wholly accepts; the per-cell pass takes
-    every other table and every stream, and alone defines what parses and
-    names every fault.
+    every other table and every stream, parses each row as it reads it, and
+    alone defines what parses.  Faults are named in reading order: header
+    cells, the grid, then each data row, ragged before unparsable.
     """
-    if hasattr(source, "read"):
-        rows = [r for r in _iter_rows(source) if r]
-    else:
-        with open(source, "r", newline="") as fh:
-            rows = _read_bulk(fh)
-            if rows is not None:
-                return (rows[0], rows[1:]) if header else (None, rows)
-            rows = [r for r in _iter_rows(fh) if r]
-    if not header:
-        return None, rows
-    if not rows:
-        raise DimensionError("empty input")
-    return _parse_row(rows[0], "1 (header)"), rows[1:]
-
-
-def _parse_rows(rows) -> np.ndarray:
-    if isinstance(rows, np.ndarray):
-        return rows
-    width = len(rows[0])
-    data = np.empty((len(rows), width))
-    for i, cells in enumerate(rows):
-        if len(cells) != width:
-            raise PanelFormatError(
-                f"row {i + 1} has {len(cells)} values, expected {width}"
-            )
-        data[i] = _parse_row(cells, i + 1)
-    return data
+    with nullcontext(source) if hasattr(source, "read") else open(source, "r", newline="") as fh:
+        table = None if fh is source else _read_bulk(fh)
+        if table is not None:
+            return (SampleGrid(table[0]), table[1:]) if header else (None, table)
+        rows = (r for r in _iter_rows(fh) if r)
+        grid, data = None, []
+        if header:
+            cells = next(rows, None)
+            if cells is None:
+                raise DimensionError("empty input")
+            grid = SampleGrid(_parse_row(cells, "1 (header)"))
+        for i, cells in enumerate(rows, 1):
+            if data and len(cells) != data[0].size:
+                raise PanelFormatError(f"row {i} has {len(cells)} values, expected {data[0].size}")
+            data.append(_parse_row(cells, i))
+    return grid, np.array(data) if data else np.empty((0, 0))
 
 
 def load_panel(source: Source, header: bool = False) -> ObservationPanel:
@@ -274,24 +267,21 @@ def load_panel(source: Source, header: bool = False) -> ObservationPanel:
 
     Raises
     ------
-    PanelFormatError
-        Ragged rows, unparsable or missing cells.
-    DimensionError
-        Fewer than 2 rows or fewer than 2 columns.
+    PanelFormatError, DimensionError, DomainError
+        The first fault in reading order: an unparsable header cell, a
+        grid that is not strictly increasing inside [0, 1], a ragged row
+        or an unparsable cell, fewer than 2 rows or 2 columns, a missing
+        cell, then a non-finite one.
     """
-    grid_points, rows = _read_rows(source, header)
-    grid = SampleGrid(grid_points) if grid_points is not None else None
-    if len(rows) < 2:
-        raise DimensionError(f"a panel needs at least two curves, got {len(rows)}")
-    width = len(rows[0])
-    if width < 2:
-        raise DimensionError(f"a panel needs at least two columns, got {width}")
-    data = _parse_rows(rows)
+    grid, data = _read_table(source, header)
+    T, p = data.shape
+    if T < 2:
+        raise DimensionError(f"a panel needs at least two curves, got {T}")
+    if p < 2:
+        raise DimensionError(f"a panel needs at least two columns, got {p}")
     _reject_cells(np.isnan(data), "missing value at row {r}, column {c}; "
                   "run the 'impute' command first")
-    if grid is None:
-        grid = SampleGrid.midpoints(width)
-    return ObservationPanel(_frozen(data), grid)
+    return ObservationPanel(_frozen(data), SampleGrid.midpoints(p) if grid is None else grid)
 
 
 def _cell(x) -> str:
@@ -338,11 +328,14 @@ def read_table_with_missing(source: Source, header: bool = False):
     """Read a table like :func:`load_panel` but keep its missing cells, which read as NaN.
 
     Returns ``(values, grid_points_or_None)``; used by the impute pre-pass.
+    Any fault it names, save ``no data rows``, is the one :func:`load_panel`
+    names for the same table; it checks neither the table's width nor its
+    cells' finiteness, which :func:`impute_missing` does.
     """
-    grid_points, rows = _read_rows(source, header)
-    if len(rows) == 0:
+    grid, values = _read_table(source, header)
+    if len(values) == 0:
         raise DimensionError("no data rows")
-    return _parse_rows(rows), grid_points
+    return values, None if grid is None else grid.points
 
 
 def impute_missing(values: np.ndarray, grid: SampleGrid) -> np.ndarray:

@@ -125,6 +125,15 @@ class TestFitCommand:
         signals = load_panel(out / "signals.csv", header=True)
         assert np.allclose(signals.values, signals.values.mean(axis=0))
 
+    def test_mean_only_with_a_trace_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        data = tmp_path / "panel.csv"
+        write_plain_csv(data, np.random.default_rng(3).standard_normal((6, 8)))
+        out = tmp_path / "out"
+        assert main(["fit", "--input", str(data), "--mean-only", "--trace-curve", "3",
+                     "--out", str(out)]) == 2
+        assert "--trace-curve" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mean_only_overflow_exits_3(self, tmp_path, capsys):
         values = np.random.default_rng(3).standard_normal((6, 8))
         values[[1, 4], 3] = 1.7e308  # the column sum leaves the float range
@@ -692,6 +701,17 @@ class TestImputeCommand:
         out = tmp_path / "filled.csv"
         assert main(["impute", "--input", str(src), "--out", str(out)]) == 0
         assert out.read_text() == "0.0,1.0,2.0,2.0\n1.5,1.5,2.25,3.0\n4.0,4.0,4.0,4.0\n"
+
+    @pytest.mark.parametrize("header", [False, True])
+    def test_fills_a_single_curve(self, tmp_path, header):
+        """In-row interpolation needs one curve, though a panel to fit needs two."""
+        grid = "0.0,0.5,1.0\n" if header else ""
+        src = tmp_path / "gappy.csv"
+        src.write_text(grid + "1.0,,3.0\n")
+        out = tmp_path / "filled.csv"
+        flags = ["--header"] if header else []
+        assert main(["impute", "--input", str(src), "--out", str(out)] + flags) == 0
+        assert out.read_text() == grid + "1.0,2.0,3.0\n"
 
     @pytest.mark.parametrize("token", ["inf", "-Infinity", "1e400"])
     def test_non_finite_cell_is_a_fault_not_a_gap(self, tmp_path, capsys, token):

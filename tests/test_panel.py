@@ -3,6 +3,7 @@ import io
 import os
 import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -408,3 +409,46 @@ class TestReaderPaths:
             writer.join()
         assert code == 0
         assert (tmp_path / "pipe.csv").read_bytes() == (tmp_path / "file.csv").read_bytes()
+
+
+class TestReadingOrder:
+    """One reader serves both public readers, so both name a fault the same way, in reading order."""
+
+    @settings(max_examples=300)
+    @given(text=table_texts(), header=st.booleans())
+    @example(text="0.1,0.05\n1,2\n3,x\n", header=True)  # the grid is named before row 2
+    @example(text="1.0,x\n", header=False)  # an unparsable row before the count of curves
+    @example(text="x\n1\n2\n", header=False)  # an unparsable row before the count of columns
+    def test_load_panel_names_the_fault_read_table_with_missing_names(self, text, header):
+        def stream():
+            named = io.StringIO(text, newline="")
+            named.name = "table.csv"  # a stream's unreadable-CSV fault names it
+            return named
+
+        try:
+            read_table_with_missing(stream(), header=header)
+        except ValueError as exc:
+            fault = exc
+        else:
+            return
+        if isinstance(fault, DimensionError) and str(fault) == "no data rows":
+            return
+        with pytest.raises(type(fault)) as raised:
+            load_panel(stream(), header=header)
+        assert type(raised.value) is type(fault) and str(raised.value) == str(fault)
+
+    def test_per_cell_pass_holds_no_table_of_strings(self):
+        """A gappy table, which takes the per-cell pass, peaks near two float copies of itself."""
+        T, p = 400, 365
+        cells = [repr(x) for x in np.random.default_rng(5).standard_normal(T * p).tolist()]
+        cells[::7] = [""] * len(cells[::7])
+        stream = io.StringIO("".join(",".join(cells[i:i + p]) + "\n" for i in range(0, T * p, p)))
+        del cells
+        tracemalloc.start()
+        try:
+            values, _ = read_table_with_missing(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values.shape == (T, p) and np.isnan(values).sum() == len(range(0, T * p, 7))
+        assert peak < 3 * values.nbytes
