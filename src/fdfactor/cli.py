@@ -9,8 +9,10 @@ the manifest, then prints.  So a command that fails before that point
 leaves no output and prints no result.  ``simulate`` prints its ``seed:``
 line once the whole spec and ``--workers >= 1`` are checked, before any
 replication runs; its manifest's ``failures_by_cause`` counts each
-cell's failed replications by exception class, and ``blas_threads_per_worker``
-is 1 when each replication thread ran on one BLAS thread, else null.
+cell's failed replications by exception class.  Every command runs on one
+BLAS thread where numpy's OpenBLAS allows (manifest ``blas_threads`` 1, else
+null); library calls keep the BLAS's count, so a command's bytes at T > p
+may differ in the last bits from a library ``fit`` on more threads.
 Exit codes: 0 success, 2 usage/input problems, 3 numerical or
 degenerate-data failures.
 """
@@ -61,6 +63,7 @@ from .simulate import (
     SUMMARY_COLUMNS,
     SimSetting,
     SimulationSpec,
+    _one_blas_thread,
     run_monte_carlo,
     summary_rows,
 )
@@ -85,9 +88,10 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _manifest(command: str, params: dict, inputs: dict) -> dict:
+def _manifest(command: str, params: dict, inputs: dict, blas_threads) -> dict:
     return {
         "command": command,
+        "blas_threads": blas_threads,
         "parameters": params,
         "input_sha256": {name: _sha256(p) for name, p in inputs.items()},
         "version": __version__,
@@ -406,9 +410,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        files, manifest, stdout = args.func(args)
+        with _one_blas_thread() as blas_threads:  # small matrices: a second thread would spin
+            files, manifest, stdout = args.func(args)
         if manifest is not None:  # else --out names impute's one file, or is not given
-            files["manifest.json"] = _manifest(args.command, *manifest)
+            files["manifest.json"] = _manifest(args.command, *manifest, blas_threads)
             Path(args.out).mkdir(parents=True, exist_ok=True)
         _write_files(files, "" if manifest is None else args.out)
     except USAGE_ERRORS as exc:

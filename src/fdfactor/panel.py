@@ -234,7 +234,7 @@ def _read_table(source: Source, header: bool):
     The C reader converts a file it wholly accepts; the per-cell pass takes
     every other table and every stream, parses each row as it reads it, and
     alone defines what parses.  Faults are named in reading order: header
-    cells, the grid, then each data row, ragged before unparsable.
+    cells, the grid, then each data row, its width before its cells.
     """
     with nullcontext(source) if hasattr(source, "read") else open(source, "r", newline="") as fh:
         table = None if fh is source else _read_bulk(fh)
@@ -250,6 +250,8 @@ def _read_table(source: Source, header: bool):
         for i, cells in enumerate(rows, 1):
             if data and len(cells) != data[0].size:
                 raise PanelFormatError(f"row {i} has {len(cells)} values, expected {data[0].size}")
+            if not data and grid is not None and len(cells) != grid.p:
+                raise DimensionError(f"table has {len(cells)} columns but the grid has {grid.p} points")
             data.append(_parse_row(cells, i))
     return grid, np.array(data) if data else np.empty((0, 0))
 
@@ -269,9 +271,9 @@ def load_panel(source: Source, header: bool = False) -> ObservationPanel:
     ------
     PanelFormatError, DimensionError, DomainError
         The first fault in reading order: an unparsable header cell, a
-        grid that is not strictly increasing inside [0, 1], a ragged row
-        or an unparsable cell, fewer than 2 rows or 2 columns, a missing
-        cell, then a non-finite one.
+        grid that is not strictly increasing inside [0, 1], a first row
+        not as wide as the grid, a ragged row or an unparsable cell, fewer
+        than 2 rows or 2 columns, a missing cell, then a non-finite one.
     """
     grid, data = _read_table(source, header)
     T, p = data.shape
@@ -329,8 +331,7 @@ def read_table_with_missing(source: Source, header: bool = False):
 
     Returns ``(values, grid_points_or_None)``; used by the impute pre-pass.
     Any fault it names, save ``no data rows``, is the one :func:`load_panel`
-    names for the same table; it checks neither the table's width nor its
-    cells' finiteness, which :func:`impute_missing` does.
+    names for the same table; :func:`impute_missing` checks finiteness.
     """
     grid, values = _read_table(source, header)
     if len(values) == 0:

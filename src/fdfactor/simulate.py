@@ -16,6 +16,7 @@ so results are reproducible bit for bit regardless of scheduling.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -480,17 +481,26 @@ def _blas_thread_setter():
     return setter
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS to one thread, process-wide; yields 1, or None where it cannot be set."""
+    set_threads = _blas_thread_setter() or (lambda n: None)  # no setter: set nothing, yield None
+    previous = set_threads(1)  # idle OpenBLAS threads would spin-wait
+    try:
+        yield None if previous is None else 1
+    finally:  # the caller's count back, after a fault or an interrupt too
+        set_threads(previous)
+
+
 def run_monte_carlo(spec: SimulationSpec, workers: Optional[int] = None) -> SimulationSummary:
     """Run a full study grid; deterministic for a given spec regardless of workers.
 
     Each (setting, replication) pair draws from its own derived stream
     and results are aggregated in replication order, so thread count and
     scheduling cannot affect the output.  Replications run on ``workers``
-    pool threads while numpy's OpenBLAS, where it can be set, runs on one
-    thread; its process-wide count is restored when the study ends.  A
-    replication that raises one of ``REPLICATION_ERRORS`` is counted as
-    failed, by its exception's class name, and excluded; any other
-    exception propagates.
+    pool threads with numpy's OpenBLAS on one thread, where it can be.  A
+    replication raising one of ``REPLICATION_ERRORS`` counts as failed, by
+    its exception's class name, and is excluded; any other propagates.
     """
     workers = max(1, workers or 1)
     runner = _run_sse_rep if spec.kind == "sse" else _run_test_rep
@@ -503,28 +513,22 @@ def run_monte_carlo(spec: SimulationSpec, workers: Optional[int] = None) -> Simu
                 for ri in range(R)[first:first + firsts.step]]
 
     results = []
-    set_threads = _blas_thread_setter()
-    previous = set_threads(1) if set_threads else None  # idle OpenBLAS threads would spin-wait
-    try:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            # map queues every chunk at once, yields them in order and cancels the rest on a fault
-            chunks = ex.map(run_chunk, [(si, first) for si in range(len(spec.settings)) for first in firsts])
-            for setting in spec.settings:
-                cells = [c for _ in firsts for c in next(chunks)]
-                for method in cells[0]:  # spec.methods in order, or "noise-test"
-                    good = [c[method] for c in cells if not isinstance(c[method], str)]
-                    failed = [c[method] for c in cells if isinstance(c[method], str)]
-                    results.append(SettingResult(
-                        dgp=spec.dgp, kind=spec.kind, p=setting.p, T=setting.T,
-                        sigma2=setting.sigma2, theta_ar=setting.theta_ar, method=method,
-                        l_policy=spec.l_policy, replications=R, failures=len(failed),
-                        **(_aggregate(spec.kind, np.array(good)) if good else {}),
-                        failure_causes={c: failed.count(c) for c in sorted(set(failed))},
-                    ))
-    finally:  # the caller's count back, after a fault or an interrupt too
-        if set_threads:
-            set_threads(previous)
-    return SimulationSummary(spec, tuple(results), blas_threads_per_worker=1 if set_threads else None)
+    with _one_blas_thread() as blas_threads, ThreadPoolExecutor(max_workers=workers) as ex:
+        # map queues every chunk at once, yields them in order and cancels the rest on a fault
+        chunks = ex.map(run_chunk, [(si, first) for si in range(len(spec.settings)) for first in firsts])
+        for setting in spec.settings:
+            cells = [c for _ in firsts for c in next(chunks)]
+            for method in cells[0]:  # spec.methods in order, or "noise-test"
+                good = [c[method] for c in cells if not isinstance(c[method], str)]
+                failed = [c[method] for c in cells if isinstance(c[method], str)]
+                results.append(SettingResult(
+                    dgp=spec.dgp, kind=spec.kind, p=setting.p, T=setting.T,
+                    sigma2=setting.sigma2, theta_ar=setting.theta_ar, method=method,
+                    l_policy=spec.l_policy, replications=R, failures=len(failed),
+                    **(_aggregate(spec.kind, np.array(good)) if good else {}),
+                    failure_causes={c: failed.count(c) for c in sorted(set(failed))},
+                ))
+    return SimulationSummary(spec, tuple(results), blas_threads_per_worker=blas_threads)
 
 
 SUMMARY_COLUMNS = (

@@ -16,12 +16,14 @@ from fdfactor import (
     auto_thinning,
     classic_scree,
     empirical_eigensystem,
+    fit,
     gen_ar1_noise,
     gen_rough_signals,
     lambda_scree,
     load_panel,
     residual_correlation,
     residual_covariance,
+    save_fit,
     save_panel,
     select_frequencies,
     spectral,
@@ -607,6 +609,113 @@ class TestSimulateSpecValidation:
         manifest = json.loads((tmp_path / "sim" / "manifest.json").read_text())
         expected = 1 if found and simulate._blas_thread_setter() is not None else None
         assert manifest["parameters"]["blas_threads_per_worker"] == expected
+        assert manifest["blas_threads"] == expected
+
+
+@pytest.fixture
+def fake_blas(monkeypatch):
+    """A process-wide BLAS thread count, 2, behind a fake ``openblas_set_num_threads_local``."""
+    import fdfactor.simulate as simulate
+
+    count = [2]
+
+    def set_threads(n):
+        previous, count[0] = count[0], n
+        return previous
+
+    monkeypatch.setattr(simulate, "_blas_thread_setter", lambda: set_threads)
+    return count
+
+
+class TestOneBlasThread:
+    """Every command computes on one BLAS thread, and the caller gets its own count back."""
+
+    COMMANDS = ["fit", "test", "scree", "diagnose", "impute", "simulate"]
+
+    @staticmethod
+    def argv(tmp_path, command):
+        data, spec, out = tmp_path / "panel.csv", tmp_path / "spec.json", str(tmp_path / "out")
+        write_plain_csv(data, np.random.default_rng(3).standard_normal((10, 20)))
+        spec.write_text(json.dumps({"dgp": "rough", "settings": [{"p": 20, "T": 30, "sigma2": 0.05}],
+                                    "replications": 2, "seed": 1}))
+        source = ["--spec", str(spec)] if command == "simulate" else ["--input", str(data)]
+        return [command, *source, "--out", out, *(["--L", "2"] if command == "fit" else [])]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_command_computes_on_one_thread(self, tmp_path, capsys, monkeypatch, fake_blas,
+                                                  command):
+        import fdfactor.cli as cli
+        import fdfactor.simulate as simulate
+
+        seen = []
+        for module, name in [(cli, f"_cmd_{command}"), (simulate, "_run_sse_rep")]:
+            def spy(*args, real=getattr(module, name)):
+                seen.append(fake_blas[0])
+                result = real(*args)
+                seen.append(fake_blas[0])  # simulate's nested hold sets 1 over 1 and restores 1
+                return result
+
+            monkeypatch.setattr(module, name, spy)
+        assert main(self.argv(tmp_path, command)) == 0
+        assert set(seen) == {1} and len(seen) == (6 if command == "simulate" else 2)
+        assert fake_blas == [2]
+        if command != "impute":  # impute writes one file and no manifest
+            manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+            assert manifest["blas_threads"] == 1
+        if command == "simulate":
+            assert manifest["parameters"]["blas_threads_per_worker"] == 1
+
+    @pytest.mark.parametrize("command", ["fit", "test", "scree", "diagnose"])
+    def test_without_a_setter_the_manifest_says_null(self, tmp_path, capsys, monkeypatch, command):
+        import fdfactor.simulate as simulate
+
+        monkeypatch.setattr(simulate, "_blas_thread_setter", lambda: None)
+        assert main(self.argv(tmp_path, command)) == 0
+        assert json.loads((tmp_path / "out" / "manifest.json").read_text())["blas_threads"] is None
+
+    def test_the_count_comes_back_after_every_exit(self, tmp_path, capsys, monkeypatch, fake_blas):
+        import fdfactor.cli as cli
+
+        flat = tmp_path / "flat.csv"
+        write_plain_csv(flat, np.outer(np.random.default_rng(6).standard_normal(20), np.ones(30)))
+        for argv, code in [(self.argv(tmp_path, "fit"), 0),
+                           (["fit", "--input", str(tmp_path / "absent.csv"), "--L", "2",
+                             "--out", str(tmp_path / "o2")], 2),
+                           (["scree", "--input", str(flat), "--lmax", "4",
+                             "--out", str(tmp_path / "o3")], 3)]:
+            assert main(argv) == code and fake_blas == [2]
+
+        def interrupted(args):
+            assert fake_blas == [1]
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_cmd_fit", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(self.argv(tmp_path, "fit"))
+        assert fake_blas == [2]
+
+    def test_tall_fit_writes_the_same_bytes_whatever_the_callers_count(self, tmp_path, capsys):
+        from fdfactor.simulate import _blas_thread_setter, _one_blas_thread
+
+        setter = _blas_thread_setter()
+        if setter is None:
+            pytest.skip("numpy's BLAS has no openblas_set_num_threads_local")
+        data = tmp_path / "tall.csv"
+        write_rough_csv(data, p=365, T=2000, sigma2=0.05, seed=16)  # T > p: the p-side Gram
+        written, previous = [], setter(1)
+        try:
+            for n in (1, 2):
+                setter(n)
+                out = tmp_path / f"fit-{n}"
+                assert main(["fit", "--input", str(data), "--header", "--L", "3",
+                             "--out", str(out)]) == 0
+                assert setter(n) == n  # main gave the caller its count back
+                written.append((out / "residuals.csv").read_bytes())
+            with _one_blas_thread():
+                save_fit(fit(load_panel(data, header=True), 3), tmp_path / "library")
+        finally:
+            setter(previous)
+        assert written[0] == written[1] == (tmp_path / "library" / "residuals.csv").read_bytes()
 
 
 class TestIoFaults:
@@ -759,6 +868,15 @@ class TestGapRule:
         out = tmp_path / "out"
         assert main(command + ["--header", "--input", str(data), "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: grid points must be finite\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["fit", "--L", "1"], ["impute"]], ids=["fit", "impute"])
+    def test_a_grid_narrower_than_the_rows_is_named_before_a_gap(self, tmp_path, capsys, command):
+        data = tmp_path / "panel.csv"
+        data.write_text("0.1,0.5,0.9\n1,,3,4\n1,2,3,4\n")
+        out = tmp_path / "out"
+        assert main(command + ["--header", "--input", str(data), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: table has 4 columns but the grid has 3 points\n"
         assert not out.exists()
 
 

@@ -16,6 +16,7 @@ from fdfactor import (
     select_frequencies,
 )
 from fdfactor.cli import main
+from fdfactor.simulate import _one_blas_thread
 
 ROOT = Path(__file__).resolve().parents[1]
 STUDIES = sorted((ROOT / "studies").glob("*.json"))
@@ -57,7 +58,8 @@ def test_scree_demo_writes_what_fdfactor_scree_writes(tmp_path, monkeypatch, cap
         rows = list(csv.DictReader(fh))
     assert [int(r["l"]) for r in rows] == list(range(1, 26))
     panel = load_panel(out / "panel.csv", header=True)
-    gamma = classic_scree(empirical_eigensystem(panel), 25).values
-    lam = lambda_scree(panel, 25, select_frequencies(365, 0.1, 3)).values
+    with _one_blas_thread():  # the thread count every command computes on
+        gamma = classic_scree(empirical_eigensystem(panel), 25).values
+        lam = lambda_scree(panel, 25, select_frequencies(365, 0.1, 3)).values
     assert [float(r["gamma"]) for r in rows] == gamma.tolist()
     assert [float(r["lambda_inf"]) for r in rows] == lam.tolist()
