@@ -394,7 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--spec", required=True)
     p_sim.add_argument("--out", required=True)
     p_sim.add_argument("--workers", type=int, default=None,
-                       help="replication threads, each on one BLAS thread, at least 1 (default 1)")
+                       help="replication threads, each on one BLAS thread with a helper drawing normals ahead, "
+                            "at least 1 (default 1)")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_imp = sub.add_parser("impute", help="fill missing cells by in-row linear interpolation")

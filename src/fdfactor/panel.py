@@ -69,6 +69,12 @@ def _reject_cells(bad: np.ndarray, fault: str = "non-finite value at row {r}, co
         raise PanelFormatError(fault.format(r=r, c=c))
 
 
+def _check_width(columns: int, grid: SampleGrid) -> None:
+    """Raise DimensionError unless a table has a column per grid point: one text for every caller."""
+    if columns != grid.p:
+        raise DimensionError(f"table has {columns} columns but the grid has {grid.p} points")
+
+
 @dataclass(frozen=True)
 class SampleGrid:
     """Strictly increasing sampling points s_1 < ... < s_p inside [0, 1]."""
@@ -130,10 +136,7 @@ class ObservationPanel:
             raise DimensionError("panel values must be a 2-d array")
         if vals.shape[0] < 2:
             raise DimensionError(f"a panel needs at least two curves, got {vals.shape[0]}")
-        if vals.shape[1] != self.grid.p:
-            raise DimensionError(
-                f"panel has {vals.shape[1]} columns but the grid has {self.grid.p} points"
-            )
+        _check_width(vals.shape[1], self.grid)
         _reject_cells(~np.isfinite(vals))
         object.__setattr__(self, "values", vals)
 
@@ -250,8 +253,8 @@ def _read_table(source: Source, header: bool):
         for i, cells in enumerate(rows, 1):
             if data and len(cells) != data[0].size:
                 raise PanelFormatError(f"row {i} has {len(cells)} values, expected {data[0].size}")
-            if not data and grid is not None and len(cells) != grid.p:
-                raise DimensionError(f"table has {len(cells)} columns but the grid has {grid.p} points")
+            if not data and grid is not None:
+                _check_width(len(cells), grid)
             data.append(_parse_row(cells, i))
     return grid, np.array(data) if data else np.empty((0, 0))
 
@@ -347,10 +350,7 @@ def impute_missing(values: np.ndarray, grid: SampleGrid) -> np.ndarray:
     value at all cannot be imputed, and an infinite cell is a fault, not a gap.
     """
     values = np.asarray(values, dtype=float)
-    if values.shape[1] != grid.p:
-        raise DimensionError(
-            f"table has {values.shape[1]} columns but the grid has {grid.p} points"
-        )
+    _check_width(values.shape[1], grid)
     _reject_cells(np.isinf(values))
     out = values.copy()
     s = grid.points

@@ -47,7 +47,7 @@ REPLICATION_ERRORS = (DimensionError, DomainError, NumericalError, OrderError, S
 
 
 def _as_rng(seed_or_rng) -> np.random.Generator:
-    if isinstance(seed_or_rng, np.random.Generator):
+    if isinstance(seed_or_rng, (np.random.Generator, _DrawnAhead)):
         return seed_or_rng
     return np.random.default_rng(seed_or_rng)
 
@@ -244,8 +244,9 @@ def gen_ar1_noise(p: int, T: int, theta_ar: float, sigma: float, seed_or_rng=Non
     W[0] *= sigma / np.sqrt(1.0 - theta_ar**2)
     W[1:] *= sigma
     if theta_ar != 0.0:
-        for j in range(1, p):
-            W[j] += theta_ar * W[j - 1]
+        rows = list(W)  # row views: the same updates in the same order, without indexing W each step
+        for prev, row in zip(rows, rows[1:]):
+            row += theta_ar * prev
     return W.T.copy()
 
 
@@ -429,6 +430,25 @@ def _generate_panel(spec: SimulationSpec, setting: SimSetting, rng):
     return signals, add_noise(signals, noise)
 
 
+class _DrawnAhead:
+    """Stands in for a replication's generator, handing back its normals, drawn ahead by ``fill``, in order."""
+
+    def __init__(self, spec: SimulationSpec, si: int, ri: int):
+        setting, self.rng = spec.settings[si], replication_rng(spec.seed, si, ri)
+        signal = [(setting.T, 3 if spec.dgp == "rough" else spec.smooth_K)] if spec.kind == "sse" else []
+        self.draws = [np.empty(s) for s in [*signal, (setting.p, setting.T)]]  # on the replication's heap
+
+    def fill(self) -> _DrawnAhead:  # on the helper thread, with no BLAS call
+        for out in self.draws:
+            self.rng.standard_normal(out=out)
+        return self
+
+    def standard_normal(self, shape):
+        if not self.draws or self.draws[0].shape != shape:
+            raise RuntimeError(f"asked for normals of shape {shape}, holding {[d.shape for d in self.draws]}")
+        return self.draws.pop(0)  # so nothing keeps a draw its generator took
+
+
 def _run_sse_rep(spec, setting, rng):
     signals, observed = _generate_panel(spec, setting, rng)
     out = {}
@@ -498,9 +518,11 @@ def run_monte_carlo(spec: SimulationSpec, workers: Optional[int] = None) -> Simu
     Each (setting, replication) pair draws from its own derived stream
     and results are aggregated in replication order, so thread count and
     scheduling cannot affect the output.  Replications run on ``workers``
-    pool threads with numpy's OpenBLAS on one thread, where it can be.  A
-    replication raising one of ``REPLICATION_ERRORS`` counts as failed, by
-    its exception's class name, and is excluded; any other propagates.
+    pool threads with numpy's OpenBLAS on one thread, where it can be, each
+    with a helper thread that draws the next replication's normals (one
+    pending draw, no BLAS call).  A replication raising one of
+    ``REPLICATION_ERRORS`` counts as failed, by its exception's class
+    name, and is excluded; any other propagates.
     """
     workers = max(1, workers or 1)
     runner = _run_sse_rep if spec.kind == "sse" else _run_test_rep
@@ -509,8 +531,16 @@ def run_monte_carlo(spec: SimulationSpec, workers: Optional[int] = None) -> Simu
 
     def run_chunk(task):
         si, first = task
-        return [runner(spec, spec.settings[si], replication_rng(spec.seed, si, ri))
-                for ri in range(R)[first:first + firsts.step]]
+        reps, out = range(R)[first:first + firsts.step], []
+        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="fdfactor-draws") as helper:
+            ahead = helper.submit(_DrawnAhead(spec, si, reps[0]).fill)
+            for ri in reps:  # replication ri computes while the helper draws ri + 1
+                rng = ahead.result()
+                ahead = helper.submit(_DrawnAhead(spec, si, ri + 1).fill) if ri + 1 in reps else None
+                out.append(runner(spec, spec.settings[si], rng))
+                if rng.draws:
+                    raise RuntimeError(f"replication {ri} left normals unused: {[d.shape for d in rng.draws]}")
+        return out
 
     results = []
     with _one_blas_thread() as blas_threads, ThreadPoolExecutor(max_workers=workers) as ex:

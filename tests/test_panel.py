@@ -176,6 +176,13 @@ class TestPanelValidation:
         with pytest.raises(DimensionError):
             ObservationPanel(np.zeros((3, 4)), SampleGrid.midpoints(5))
 
+    def test_the_constructor_and_the_imputer_name_a_grid_width_mismatch_in_one_text(self):
+        text = r"^table has 4 columns but the grid has 5 points$"  # as the CLI's readers say it
+        with pytest.raises(DimensionError, match=text):
+            ObservationPanel(np.zeros((3, 4)), SampleGrid.midpoints(5))
+        with pytest.raises(DimensionError, match=text):
+            impute_missing(np.zeros((3, 4)), SampleGrid.midpoints(5))
+
     def test_values_immutable(self):
         panel = make_panel(np.ones((2, 3)))
         with pytest.raises(ValueError):

@@ -36,6 +36,7 @@ from fdfactor import (
 )
 from fdfactor.diagnostics import _selection
 from fdfactor.simulate import (
+    _DrawnAhead,
     _generate_panel,
     _quadrature_variance,
     _spline_projector,
@@ -385,16 +386,18 @@ class TestMonteCarloHarness:
         pools = []
 
         class Recorder(simulate.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers=max_workers)
+            def __init__(self, max_workers, thread_name_prefix=""):
+                pools.append((thread_name_prefix, max_workers))
+                super().__init__(max_workers=max_workers, thread_name_prefix=thread_name_prefix)
 
         monkeypatch.setattr(simulate, "ThreadPoolExecutor", Recorder)
         monkeypatch.setenv("FDFACTOR_WORKERS", "3")
         spec = self.spec(replications=2)
         for workers in (None, 0, -2, 2):
             run_monte_carlo(spec, workers=workers)
-        assert pools == [1, 1, 1, 2]
+        assert [n for prefix, n in pools if prefix != "fdfactor-draws"] == [1, 1, 1, 2]
+        # one helper per chunk, and a study has one chunk per worker: 1 + 1 + 1 + 2
+        assert [n for prefix, n in pools if prefix == "fdfactor-draws"] == [1] * 5
 
     @staticmethod
     def fake_blas(monkeypatch):
@@ -615,3 +618,98 @@ class TestMonteCarloHarness:
         spec = self.spec(kind="noise-test", settings=[SimSetting(p=2, T=30, sigma2=0.1)])
         row = run_monte_carlo(spec).results[0]  # the test itself has too few grid points
         assert (row.failures, row.failure_causes) == (5, {"DimensionError": 5})
+
+
+class TestDrawnAhead:
+    """Each chunk's helper draws replication i + 1's normals while replication i computes."""
+
+    SPECS = {
+        "rough-sse": dict(dgp="rough", settings=[SimSetting(p=20, T=30, sigma2=0.1, theta_ar=0.3)],
+                          methods=("pca", "bspline")),
+        "smooth-fixed": dict(dgp="smooth", settings=[SimSetting(p=40, T=30, sigma2=0.1, theta_ar=0.3)],
+                             methods=("pca", "bspline"), smooth_K=8),
+        "smooth-plateau": dict(dgp="smooth", settings=[SimSetting(p=40, T=30, sigma2=0.1, theta_ar=0.3)],
+                               methods=("pca", "bspline"), smooth_K=8, l_policy="plateau", scree_l_max=6),
+        "noise-test": dict(dgp="rough", kind="noise-test", thinning=2,
+                           settings=[SimSetting(p=60, T=40, sigma2=1.0, theta_ar=0.4)]),
+    }
+
+    @staticmethod
+    def spec(name, **kw):
+        return SimulationSpec(**{"kind": "sse", "replications": 4, "seed": 321, **TestDrawnAhead.SPECS[name], **kw})
+
+    @pytest.mark.parametrize("name", SPECS)
+    def test_records_equal_the_replication_run_inline(self, name):
+        import fdfactor.simulate as simulate
+
+        spec = self.spec(name)
+        runner = simulate._run_sse_rep if spec.kind == "sse" else simulate._run_test_rep
+        setting = spec.settings[0]
+        for ri in range(spec.replications):
+            drawn = _DrawnAhead(spec, 0, ri).fill()
+            record = runner(spec, setting, drawn)
+            assert record == runner(spec, setting, replication_rng(spec.seed, 0, ri))
+            assert not any(isinstance(r, str) for r in record.values())  # no failed method compares vacuously
+            assert drawn.draws == []  # every draw handed back, and none kept
+
+    def test_draws_run_on_the_helper_and_replications_on_the_chunk_thread(self, monkeypatch):
+        import fdfactor.simulate as simulate
+
+        streams, draws, reps = [], [], []
+        real_rng, real_fill, real_runner = simulate.replication_rng, _DrawnAhead.fill, simulate._run_sse_rep
+
+        def rng_spy(*args):
+            streams.append(args)
+            return real_rng(*args)
+
+        def fill_spy(drawn):
+            draws.append(threading.current_thread().name)
+            return real_fill(drawn)
+
+        def runner_spy(*args):
+            reps.append(threading.current_thread().name)
+            return real_runner(*args)
+
+        monkeypatch.setattr(simulate, "replication_rng", rng_spy)
+        monkeypatch.setattr(_DrawnAhead, "fill", fill_spy)
+        monkeypatch.setattr(simulate, "_run_sse_rep", runner_spy)
+        run_monte_carlo(self.spec("rough-sse", replications=7), workers=3)
+        # each replication drawn once, none beyond a chunk's end, and only on helper threads
+        assert sorted(streams) == [(321, 0, ri) for ri in range(7)]
+        assert len(draws) == 7 and all(name.startswith("fdfactor-draws") for name in draws)
+        assert len(reps) == 7 and not any(name.startswith("fdfactor-draws") for name in reps)
+        assert threading.current_thread().name not in reps
+
+    def test_a_shape_it_does_not_hold_or_any_other_call_raises(self):
+        drawn = _DrawnAhead(self.spec("rough-sse"), 0, 0).fill()
+        with pytest.raises(RuntimeError, match=r"shape \(20, 30\), holding \[\(30, 3\), \(20, 30\)\]"):
+            drawn.standard_normal((20, 30))  # the noise's shape, asked before the signal's
+        with pytest.raises(AttributeError):
+            drawn.normal(size=3)
+        assert [d.shape for d in drawn.draws] == [(30, 3), (20, 30)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_wrong_shape_or_an_unused_draw_propagates(self, monkeypatch, workers):
+        import fdfactor.simulate as simulate
+
+        spec = self.spec("noise-test")
+        monkeypatch.setattr(simulate, "_run_test_rep", lambda spec, setting, rng: {"noise-test": (1.0, 1.0, 0.5, 0.5)})
+        with pytest.raises(RuntimeError, match=r"^replication 0 left normals unused: \[\(60, 40\)\]$"):
+            run_monte_carlo(spec, workers)
+        monkeypatch.setattr(simulate, "_run_test_rep", lambda spec, setting, rng: rng.standard_normal((40, 60)))
+        with pytest.raises(RuntimeError, match=r"asked for normals of shape \(40, 60\)"):
+            run_monte_carlo(spec, workers)
+
+    @pytest.mark.parametrize("exc", [TypeError, KeyboardInterrupt])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_raising_runner_propagates_and_leaves_no_thread_behind(self, monkeypatch, exc, workers):
+        import fdfactor.simulate as simulate
+
+        def broken(spec, setting, rng):
+            raise exc("raised by the runner")
+
+        monkeypatch.setattr(simulate, "_run_sse_rep", broken)
+        before = threading.active_count()
+        with pytest.raises(exc, match="raised by the runner"):
+            run_monte_carlo(self.spec("rough-sse", replications=6), workers)
+        assert threading.active_count() == before
