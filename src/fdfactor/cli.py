@@ -13,6 +13,8 @@ cell's failed replications by exception class.  Every command runs on one
 BLAS thread where numpy's OpenBLAS allows (manifest ``blas_threads`` 1, else
 null); library calls keep the BLAS's count, so a command's bytes at T > p
 may differ in the last bits from a library ``fit`` on more threads.
+Options are checked before any input is read: a given option that the
+chosen mode does not read, or a second mode flag, exits 2 naming it.
 Exit codes: 0 success, 2 usage/input problems, 3 numerical or
 degenerate-data failures.
 """
@@ -76,6 +78,7 @@ USAGE_ERRORS = (
     DomainError,
     SelectionError,
     OSError,
+    argparse.ArgumentError,  # an option the chosen mode does not read
 )
 NUMERIC_ERRORS = (NumericalError, DegenerateVarianceError)
 
@@ -105,8 +108,6 @@ def _load_residuals(args):
     """Residual panel of ``--from-fit`` or ``--input``, and the file it came from."""
     if args.from_fit is not None:
         return load_fit_residuals(args.from_fit), Path(args.from_fit) / "residuals.csv"
-    if args.input is None:
-        raise PanelFormatError("provide --input or --from-fit")
     return load_panel(args.input, header=args.header), Path(args.input)
 
 
@@ -119,10 +120,6 @@ def _xi_table(sel, xi):
 # a JSON object), its manifest (parameters, inputs) or None, and its stdout
 
 def _cmd_fit(args):
-    if sum([args.L is not None, args.scree_auto, args.mean_only]) != 1:
-        raise OrderError("choose exactly one of --L, --scree-auto, --mean-only")
-    if args.mean_only and args.trace_curve is not None:
-        raise OrderError("--trace-curve needs --L or --scree-auto; --mean-only fits no factors")
     panel = load_panel(args.input, header=args.header)
     params = {"input": str(args.input), "header": args.header}
 
@@ -326,7 +323,48 @@ def _cmd_impute(args):
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser: every option once, then which options each command (and mode) reads
+
+#: option -> (type, bool for a flag; documented default; help)
+_OPTIONS = {
+    "--input": (str, None, "panel CSV"),
+    "--header": (bool, False, "first input row holds the grid points"),
+    "--from-fit": (str, None, "fit output directory whose residuals are read"),
+    "--out": (str, None, "output directory (impute: output CSV)"),
+    "--L": (int, None, "number of factors"),
+    "--scree-auto": (bool, False, "choose L by the test-statistic plateau rule"),
+    "--mean-only": (bool, False, "fit only the mean curve (no factors)"),
+    "--lmax": (int, 12, "largest order examined"),
+    "--trace-curve": (int, None, "also export a dense interpolated trace of this curve (1-based)"),
+    "--trace-points": (int, 1000, "points of the dense trace"),
+    "--cutoff": (float, 0.1, "low-frequency cutoff fraction"),
+    "--thin": (int, None, "frequency thinning m (default: smallest m with f/T <= 0.3)"),
+    "--sigma2": (float, None, "noise-variance override (default: Gasser estimate)"),
+    "--curve": (int, 1, "curve index for the acf (1-based)"),
+    "--hmax": (int, 40, "largest acf lag"),
+    "--cols": (str, None, "restrict covariance/correlation to columns A:B (1-based)"),
+    "--spec": (str, None, "JSON study spec"),
+    "--workers": (int, None, "replication threads, each on one BLAS thread with a helper drawing "
+                             "normals ahead, at least 1 (default 1)"),
+}
+#: command -> (help; the options it always reads, "!" marking a required one;
+#: mode flag -> the options that mode reads besides, where exactly one is given)
+_COMMANDS = {
+    "fit": ("fit a factor model and write artifacts", "--input! --header --out!",
+            {"--L": "--trace-curve --trace-points",
+             "--scree-auto": "--lmax --cutoff --thin --trace-curve --trace-points",
+             "--mean-only": ""}),
+    "test": ("iid-noise test on residuals", "--sigma2 --cutoff --thin --out",
+             {"--input": "--header", "--from-fit": ""}),
+    "scree": ("eigenvalue and test-statistic scree curves",
+              "--input! --header --lmax --cutoff --thin --out!", {}),
+    "diagnose": ("residual acf, covariance and periodogram exports",
+                 "--curve --hmax --cols --cutoff --thin --out!",
+                 {"--input": "--header", "--from-fit": ""}),
+    "simulate": ("run a Monte Carlo study from a JSON spec", "--spec! --out! --workers", {}),
+    "impute": ("fill missing cells by in-row linear interpolation", "--input! --header --out!", {}),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -335,84 +373,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"fdfactor {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_selection(p):
-        p.add_argument("--cutoff", type=float, default=0.1,
-                       help="low-frequency cutoff fraction (default 0.1)")
-        p.add_argument("--thin", type=int, default=None,
-                       help="frequency thinning m (default: smallest m with f/T <= 0.3)")
-
-    p_fit = sub.add_parser("fit", help="fit a factor model and write artifacts")
-    p_fit.add_argument("--input", required=True)
-    p_fit.add_argument("--header", action="store_true",
-                       help="first input row holds the grid points")
-    p_fit.add_argument("--L", type=int, default=None, help="number of factors")
-    p_fit.add_argument("--scree-auto", action="store_true",
-                       help="choose L by the test-statistic plateau rule")
-    p_fit.add_argument("--mean-only", action="store_true",
-                       help="fit only the mean curve (no factors)")
-    p_fit.add_argument("--lmax", type=int, default=12,
-                       help="largest order examined by --scree-auto")
-    p_fit.add_argument("--out", required=True)
-    p_fit.add_argument("--trace-curve", type=int, default=None,
-                       help="also export a dense interpolated trace of this curve (1-based)")
-    p_fit.add_argument("--trace-points", type=int, default=1000)
-    add_selection(p_fit)
-    p_fit.set_defaults(func=_cmd_fit)
-
-    p_test = sub.add_parser("test", help="iid-noise test on residuals")
-    p_test.add_argument("--input", default=None, help="residual panel CSV")
-    p_test.add_argument("--header", action="store_true")
-    p_test.add_argument("--from-fit", default=None, help="fit artifact directory")
-    p_test.add_argument("--sigma2", type=float, default=None,
-                        help="noise-variance override (default: Gasser estimate)")
-    p_test.add_argument("--out", default=None, help="optional output directory")
-    add_selection(p_test)
-    p_test.set_defaults(func=_cmd_test)
-
-    p_scree = sub.add_parser("scree", help="eigenvalue and test-statistic scree curves")
-    p_scree.add_argument("--input", required=True)
-    p_scree.add_argument("--header", action="store_true")
-    p_scree.add_argument("--lmax", type=int, default=12)
-    p_scree.add_argument("--out", required=True)
-    add_selection(p_scree)
-    p_scree.set_defaults(func=_cmd_scree)
-
-    p_diag = sub.add_parser("diagnose", help="residual acf, covariance and periodogram exports")
-    p_diag.add_argument("--input", default=None)
-    p_diag.add_argument("--header", action="store_true")
-    p_diag.add_argument("--from-fit", default=None)
-    p_diag.add_argument("--curve", type=int, default=1, help="curve index for the acf (1-based)")
-    p_diag.add_argument("--hmax", type=int, default=40)
-    p_diag.add_argument("--cols", default=None,
-                        help="restrict covariance/correlation to columns A:B (1-based)")
-    p_diag.add_argument("--out", required=True)
-    add_selection(p_diag)
-    p_diag.set_defaults(func=_cmd_diagnose)
-
-    p_sim = sub.add_parser("simulate", help="run a Monte Carlo study from a JSON spec")
-    p_sim.add_argument("--spec", required=True)
-    p_sim.add_argument("--out", required=True)
-    p_sim.add_argument("--workers", type=int, default=None,
-                       help="replication threads, each on one BLAS thread with a helper drawing normals ahead, "
-                            "at least 1 (default 1)")
-    p_sim.set_defaults(func=_cmd_simulate)
-
-    p_imp = sub.add_parser("impute", help="fill missing cells by in-row linear interpolation")
-    p_imp.add_argument("--input", required=True)
-    p_imp.add_argument("--header", action="store_true")
-    p_imp.add_argument("--out", required=True)
-    p_imp.set_defaults(func=_cmd_impute)
-
+    for name, (text, reads, modes) in _COMMANDS.items():
+        # the namespace holds only the options given, so _check_options sees which they are
+        p = sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
+        for marked in dict.fromkeys(" ".join([reads, *modes, *modes.values()]).split()):
+            option = marked.rstrip("!")
+            kind, default, help_ = _OPTIONS[option]
+            parse_as = {"action": "store_true"} if kind is bool else {"type": kind}
+            shown = "" if default is None or kind is bool else f" (default {default})"
+            p.add_argument(option, required=marked != option, help=help_ + shown, **parse_as)
     return parser
 
 
+def _check_options(args) -> None:
+    """Reject each given option that the chosen mode does not read, then fill in the defaults."""
+    _, reads, modes = _COMMANDS[args.command]
+    given = [f"--{dest.replace('_', '-')}" for dest in vars(args) if dest != "command"]
+    chosen = [option for option in given if option in modes]
+    if modes and len(chosen) != 1:
+        raise argparse.ArgumentError(None, f"choose exactly one of {', '.join(modes)}")
+    for mode in chosen:
+        reads += f" {mode} {modes[mode]}"
+    for option in given:
+        if option not in reads.replace("!", "").split():
+            raise argparse.ArgumentError(None, f"{option} has no effect with {chosen[0]}")
+    if "--trace-points" in given and "--trace-curve" not in given:
+        raise argparse.ArgumentError(None, "--trace-points has no effect without --trace-curve")
+    for option, (_, default, _) in _OPTIONS.items():
+        vars(args).setdefault(option[2:].replace("-", "_"), default)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        _check_options(args)  # before any input is read
         with _one_blas_thread() as blas_threads:  # small matrices: a second thread would spin
-            files, manifest, stdout = args.func(args)
+            files, manifest, stdout = globals()[f"_cmd_{args.command}"](args)
         if manifest is not None:  # else --out names impute's one file, or is not given
             files["manifest.json"] = _manifest(args.command, *manifest, blas_threads)
             Path(args.out).mkdir(parents=True, exist_ok=True)

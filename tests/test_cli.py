@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -980,3 +981,154 @@ class TestCliFuzz:
             code = run_fuzzed(["simulate", "--spec", str(path), "--out", f"{tmp}/o"])
             assert code in (0, 2, 3)
             assert code == 0 or not (Path(tmp) / "o").exists()
+
+
+# ---------------------------------------------------------------------------
+# which options each mode reads
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A small valid panel (grid row first), a fit of it and a small spec: paths as strings."""
+    root = tmp_path_factory.mktemp("inputs")
+    panel, fit_dir, spec = root / "panel.csv", root / "fit", root / "spec.json"
+    write_rough_csv(panel, p=16, T=12, sigma2=0.05, seed=18)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["fit", "--input", str(panel), "--header", "--L", "2",
+                     "--out", str(fit_dir)]) == 0
+    spec.write_text(json.dumps({"dgp": "rough", "settings": [{"p": 20, "T": 30, "sigma2": 0.05}],
+                                "replications": 2, "seed": 1}))
+    return {"A": str(panel), "B": str(fit_dir), "spec": str(spec)}
+
+
+def run_argv(argv):
+    """Exit code, stdout and stderr of one command; argparse's own exits count as codes."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+#: invocations with an option their mode does not read, or without exactly one mode flag:
+#: argv and the option the message must name ("A" a panel, "B" a fit directory, "o" --out)
+PROBES = {
+    "test-input-and-from-fit": (["test", "--input", "A", "--from-fit", "B", "--out", "o"],
+                                "--from-fit"),
+    "test-from-fit-header": (["test", "--from-fit", "B", "--header", "--out", "o"], "--header"),
+    "fit-L-with-scree-options": (["fit", "--input", "A", "--L", "3", "--lmax", "99", "--thin", "500",
+                                  "--cutoff", "0.5", "--out", "o"], "--lmax"),
+    "fit-mean-only-lmax": (["fit", "--input", "A", "--mean-only", "--lmax", "99", "--out", "o"],
+                           "--lmax"),
+    "fit-mean-only-thin": (["fit", "--input", "A", "--mean-only", "--thin", "3", "--out", "o"],
+                           "--thin"),
+    "diagnose-input-and-from-fit": (["diagnose", "--input", "A", "--from-fit", "B", "--out", "o"],
+                                    "--from-fit"),
+    "fit-trace-points-alone": (["fit", "--input", "A", "--L", "2", "--trace-points", "5",
+                                "--out", "o"], "--trace-points"),
+    "test-no-input": (["test", "--out", "o"], "--input"),
+}
+
+
+class TestOptionChecks:
+    """A given option that the chosen mode does not read exits 2 by name, before any input is read."""
+
+    @pytest.mark.parametrize("probe", sorted(PROBES))
+    def test_probe_exits_2_naming_the_option(self, tmp_path, inputs, probe):
+        argv, option = PROBES[probe]
+        out = tmp_path / "o"
+        code, stdout, stderr = run_argv([{**inputs, "o": str(out)}.get(a, a) for a in argv])
+        assert code == 2
+        assert option in stderr and "Traceback" not in stderr
+        assert stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "test", "scree", "diagnose", "simulate", "impute"])
+    def test_help_exits_0(self, command):
+        code, stdout, _ = run_argv([command, "--help"])
+        assert code == 0 and stdout.startswith(f"usage: fdfactor {command}")
+
+    @pytest.mark.parametrize("command, option, default", [
+        ("fit", "--lmax", "12"), ("scree", "--lmax", "12"), ("fit", "--cutoff", "0.1"),
+        ("test", "--cutoff", "0.1"), ("scree", "--cutoff", "0.1"), ("diagnose", "--cutoff", "0.1"),
+        ("fit", "--trace-points", "1000"), ("diagnose", "--curve", "1"), ("diagnose", "--hmax", "40"),
+    ])
+    def test_help_shows_the_documented_default(self, monkeypatch, command, option, default):
+        monkeypatch.setenv("COLUMNS", "200")  # one line per help text
+        _, stdout, _ = run_argv([command, "--help"])
+        # the option, its metavar, then its help on the same line or the next one
+        assert re.search(rf"^  {option} [A-Z_]+\s+[^\n]*\(default {re.escape(default)}\)$",
+                         stdout, re.MULTILINE), stdout
+
+
+#: per command, mode flag (None where there are none) -> every option that mode reads;
+#: written out here from the documented behaviour, not read from the parser's tables
+READS = {
+    "fit": {"--L": "--input --header --out --L --trace-curve --trace-points",
+            "--scree-auto": "--input --header --out --scree-auto --lmax --cutoff --thin "
+                            "--trace-curve --trace-points",
+            "--mean-only": "--input --header --out --mean-only"},
+    "test": {"--input": "--input --header --sigma2 --cutoff --thin --out",
+             "--from-fit": "--from-fit --sigma2 --cutoff --thin --out"},
+    "scree": {None: "--input --header --lmax --cutoff --thin --out"},
+    "diagnose": {"--input": "--input --header --curve --hmax --cols --cutoff --thin --out",
+                 "--from-fit": "--from-fit --curve --hmax --cols --cutoff --thin --out"},
+    "simulate": {None: "--spec --out --workers"},
+    "impute": {None: "--input --header --out"},
+}
+REQUIRED = {"fit": {"--input", "--out"}, "test": set(), "scree": {"--input", "--out"},
+            "diagnose": {"--out"}, "simulate": {"--spec", "--out"}, "impute": {"--input", "--out"}}
+#: one valid value per option; "A", "B", "spec" and "o" are replaced by paths
+VALUES = {"--input": ["A"], "--header": [], "--from-fit": ["B"], "--out": ["o"], "--L": ["2"],
+          "--scree-auto": [], "--mean-only": [], "--lmax": ["4"], "--trace-curve": ["1"],
+          "--trace-points": ["20"], "--cutoff": ["0.1"], "--thin": ["2"], "--sigma2": ["1.0"],
+          "--curve": ["1"], "--hmax": ["3"], "--cols": ["1:2"], "--spec": ["spec"],
+          "--workers": ["1"]}
+
+
+def read_exactly(command, options) -> bool:
+    """Whether every option given is read: one mode flag where there are modes, none unread."""
+    chosen = [o for o in options if o in READS[command]]
+    if None not in READS[command] and len(chosen) != 1:
+        return False
+    reads = READS[command][chosen[0] if chosen else None].split()
+    return (REQUIRED[command] <= set(options) and set(options) <= set(reads)
+            and ("--trace-points" not in options or "--trace-curve" in options))
+
+
+def subsets(items, max_size):
+    return st.sets(st.sampled_from(sorted(items)), max_size=max_size) if items else st.just(set())
+
+
+@st.composite
+def option_draws(draw):
+    """A command with some options of one of its modes, then perhaps a required option or the
+    mode flag left out, or one more option (another mode's or command's), in any order."""
+    command = draw(st.sampled_from(sorted(READS)))
+    mode = draw(st.sampled_from(sorted(READS[command], key=str)))
+    options = REQUIRED[command] | {mode} - {None} | draw(subsets(READS[command][mode].split(), 4))
+    fault = draw(st.sampled_from(["none", "left out", "one more"]))
+    if fault == "left out":
+        options -= draw(subsets(REQUIRED[command] | {mode} - {None}, 1))
+    elif fault == "one more":
+        options |= draw(subsets(VALUES, 1))
+    return command, draw(st.permutations(sorted(options)))
+
+
+class TestArgvFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(draw=option_draws())
+    def test_an_option_read_by_no_chosen_mode_never_exits_0(self, inputs, draw):
+        command, options = draw
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "o"
+            paths = {**inputs, "o": str(out)}
+            argv = [command] + [paths.get(a, a) for o in options for a in [o, *VALUES[o]]]
+            code, stdout, stderr = run_argv(argv)
+            assert code in (0, 2, 3) and "Traceback" not in stderr
+            if read_exactly(command, options):
+                assert code == 0, (argv, stderr)
+            else:
+                assert code == 2, (argv, stderr)
+                assert stdout == "" and not out.exists()
