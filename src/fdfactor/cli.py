@@ -25,6 +25,7 @@ import argparse
 import datetime
 import hashlib
 import json
+import os
 import secrets
 import sys
 from pathlib import Path
@@ -413,14 +414,16 @@ def main(argv=None) -> int:
             files["manifest.json"] = _manifest(args.command, *manifest, blas_threads)
             Path(args.out).mkdir(parents=True, exist_ok=True)
         _write_files(files, "" if manifest is None else args.out)
+        if stdout is not None:
+            print(stdout, flush=True)  # a closed stdout raises here, after the files are written
     except USAGE_ERRORS as exc:
+        if isinstance(exc, BrokenPipeError):  # stdout's reader went away: keep the exit flush silent
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NUMERIC_ERRORS as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    if stdout is not None:
-        print(stdout)
     return 0
 
 

@@ -46,12 +46,6 @@ _LEVELS = (0.01, 0.05, 0.10)
 REPLICATION_ERRORS = (DimensionError, DomainError, NumericalError, OrderError, SelectionError)
 
 
-def _as_rng(seed_or_rng) -> np.random.Generator:
-    if isinstance(seed_or_rng, (np.random.Generator, _DrawnAhead)):
-        return seed_or_rng
-    return np.random.default_rng(seed_or_rng)
-
-
 def replication_rng(seed: int, setting_index: int, replication_index: int) -> np.random.Generator:
     """Independent stream for one (setting, replication) cell of a study."""
     ss = np.random.SeedSequence(seed, spawn_key=(setting_index, replication_index))
@@ -105,9 +99,13 @@ def gen_rough_signals(cfg: RoughDgpConfig, rng: Optional[np.random.Generator] = 
     scores are independent centered Gaussians with standard deviations
     ``ROUGH_SCORE_SCALES``.
     """
-    rng = _as_rng(cfg.seed) if rng is None else rng
+    rng = np.random.default_rng(cfg.seed if rng is None else rng)
+    return _rough_signals(cfg, rng.standard_normal((cfg.T, 3)))
+
+
+def _rough_signals(cfg: RoughDgpConfig, normals: np.ndarray):
     grid, basis = _midpoint_design(cfg.p)
-    scores = rng.standard_normal((cfg.T, 3)) * np.asarray(ROUGH_SCORE_SCALES)
+    scores = normals * np.asarray(ROUGH_SCORE_SCALES)
     return ObservationPanel(_frozen(scores @ basis), grid), scores
 
 
@@ -214,11 +212,15 @@ def _quadrature_variance(K: int) -> float:
 
 def gen_spline_signals(cfg: SmoothDgpConfig, rng: Optional[np.random.Generator] = None) -> ObservationPanel:
     """Smooth signals X_t(s_i) = sum_k c_{tk} B_k(s_i) on the midpoint grid."""
-    rng = _as_rng(cfg.seed) if rng is None else rng
+    rng = np.random.default_rng(cfg.seed if rng is None else rng)
+    return _spline_signals(cfg, rng.standard_normal((cfg.T, cfg.K)))
+
+
+def _spline_signals(cfg: SmoothDgpConfig, normals: np.ndarray) -> ObservationPanel:
     grid = _midpoint_design(cfg.p)[0]
     B = _spline_design(cfg.K, grid.points.tobytes())
     sd = np.sqrt(coefficient_variances(cfg.K, cfg.signal_variance))
-    coef = rng.standard_normal((cfg.T, cfg.K)) * sd
+    coef = normals * sd
     return ObservationPanel(_frozen(coef @ B.T), grid)
 
 
@@ -239,8 +241,11 @@ def gen_ar1_noise(p: int, T: int, theta_ar: float, sigma: float, seed_or_rng=Non
         raise DomainError(f"AR coefficient must satisfy |theta| < 1, got {theta_ar}")
     if sigma < 0:
         raise DomainError(f"innovation scale must be nonnegative, got {sigma}")
-    rng = _as_rng(seed_or_rng)
-    W = rng.standard_normal((p, T))
+    return _ar1_rows(np.random.default_rng(seed_or_rng).standard_normal((p, T)), theta_ar, sigma)
+
+
+def _ar1_rows(W: np.ndarray, theta_ar: float, sigma: float) -> np.ndarray:
+    """``gen_ar1_noise`` on its (p, T) draw W of standard normals, which it updates in place."""
     W[0] *= sigma / np.sqrt(1.0 - theta_ar**2)
     W[1:] *= sigma
     if theta_ar != 0.0:
@@ -423,34 +428,24 @@ def _signal_config(spec: SimulationSpec, setting: SimSetting):
                            theta_ar=setting.theta_ar, K=spec.smooth_K, signal_variance=spec.signal_variance)
 
 
-def _generate_panel(spec: SimulationSpec, setting: SimSetting, rng):
-    cfg = _signal_config(spec, setting)
-    signals = gen_rough_signals(cfg, rng)[0] if spec.dgp == "rough" else gen_spline_signals(cfg, rng)
-    noise = gen_ar1_noise(setting.p, setting.T, setting.theta_ar, float(np.sqrt(setting.sigma2)), rng)
-    return signals, add_noise(signals, noise)
+def _normals(spec: SimulationSpec, si: int, ri: int):
+    """A replication's stream and empty arrays, on the calling thread's heap, for its normals in draw order."""
+    setting = spec.settings[si]
+    signal = [(setting.T, 3 if spec.dgp == "rough" else spec.smooth_K)] if spec.kind == "sse" else []
+    return replication_rng(spec.seed, si, ri), [np.empty(s) for s in [*signal, (setting.p, setting.T)]]
 
 
-class _DrawnAhead:
-    """Stands in for a replication's generator, handing back its normals, drawn ahead by ``fill``, in order."""
-
-    def __init__(self, spec: SimulationSpec, si: int, ri: int):
-        setting, self.rng = spec.settings[si], replication_rng(spec.seed, si, ri)
-        signal = [(setting.T, 3 if spec.dgp == "rough" else spec.smooth_K)] if spec.kind == "sse" else []
-        self.draws = [np.empty(s) for s in [*signal, (setting.p, setting.T)]]  # on the replication's heap
-
-    def fill(self) -> _DrawnAhead:  # on the helper thread, with no BLAS call
-        for out in self.draws:
-            self.rng.standard_normal(out=out)
-        return self
-
-    def standard_normal(self, shape):
-        if not self.draws or self.draws[0].shape != shape:
-            raise RuntimeError(f"asked for normals of shape {shape}, holding {[d.shape for d in self.draws]}")
-        return self.draws.pop(0)  # so nothing keeps a draw its generator took
+def _fill(rng: np.random.Generator, arrays: list) -> list:  # on the helper thread, with no BLAS call
+    for out in arrays:
+        rng.standard_normal(out=out)
+    return arrays
 
 
-def _run_sse_rep(spec, setting, rng):
-    signals, observed = _generate_panel(spec, setting, rng)
+def _run_sse_rep(spec, setting, normals):
+    cfg = _signal_config(spec, setting)  # each array popped as it is used, and no name keeps the noise
+    signals = (_rough_signals(cfg, normals.pop(0))[0] if spec.dgp == "rough"
+               else _spline_signals(cfg, normals.pop(0)))
+    observed = add_noise(signals, _ar1_rows(normals.pop(), setting.theta_ar, float(np.sqrt(setting.sigma2))))
     out = {}
     for method in spec.methods:
         try:
@@ -470,8 +465,8 @@ def _run_sse_rep(spec, setting, rng):
     return out
 
 
-def _run_test_rep(spec, setting, rng):
-    noise = gen_ar1_noise(setting.p, setting.T, setting.theta_ar, float(np.sqrt(setting.sigma2)), rng)
+def _run_test_rep(spec, setting, normals):
+    noise = _ar1_rows(normals.pop(), setting.theta_ar, float(np.sqrt(setting.sigma2)))
     try:
         rep = iid_noise_test(noise, _selection(setting.p, setting.T, spec.cutoff, spec.thinning))
         return {"noise-test": (rep.lambda_fin, rep.lambda_inf, rep.p_fin, rep.p_inf)}
@@ -518,11 +513,11 @@ def run_monte_carlo(spec: SimulationSpec, workers: Optional[int] = None) -> Simu
     Each (setting, replication) pair draws from its own derived stream
     and results are aggregated in replication order, so thread count and
     scheduling cannot affect the output.  Replications run on ``workers``
-    pool threads with numpy's OpenBLAS on one thread, where it can be, each
-    with a helper thread that draws the next replication's normals (one
-    pending draw, no BLAS call).  A replication raising one of
-    ``REPLICATION_ERRORS`` counts as failed, by its exception's class
-    name, and is excluded; any other propagates.
+    pool threads with numpy's OpenBLAS on one thread, where it can be.  Each
+    worker allocates the next replication's arrays, its helper thread fills
+    them with normals (no BLAS call), and the replication uses and drops them.
+    A replication raising one of ``REPLICATION_ERRORS`` counts as failed, by
+    its exception's class name, and is excluded; any other propagates.
     """
     workers = max(1, workers or 1)
     runner = _run_sse_rep if spec.kind == "sse" else _run_test_rep
@@ -533,13 +528,11 @@ def run_monte_carlo(spec: SimulationSpec, workers: Optional[int] = None) -> Simu
         si, first = task
         reps, out = range(R)[first:first + firsts.step], []
         with ThreadPoolExecutor(max_workers=1, thread_name_prefix="fdfactor-draws") as helper:
-            ahead = helper.submit(_DrawnAhead(spec, si, reps[0]).fill)
+            ahead = helper.submit(_fill, *_normals(spec, si, reps[0]))
             for ri in reps:  # replication ri computes while the helper draws ri + 1
-                rng = ahead.result()
-                ahead = helper.submit(_DrawnAhead(spec, si, ri + 1).fill) if ri + 1 in reps else None
-                out.append(runner(spec, spec.settings[si], rng))
-                if rng.draws:
-                    raise RuntimeError(f"replication {ri} left normals unused: {[d.shape for d in rng.draws]}")
+                normals = ahead.result()
+                ahead = helper.submit(_fill, *_normals(spec, si, ri + 1)) if ri + 1 in reps else None
+                out.append(runner(spec, spec.settings[si], normals))
         return out
 
     results = []

@@ -2,7 +2,10 @@ import contextlib
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -759,6 +762,38 @@ class TestIoFaults:
         assert str(path) in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
         assert out == ""
+
+
+class TestClosedStdout:
+    """A stdout whose reader has gone exits 2 with one error line, after the files are written."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", ["fit", "test", "simulate"])
+    def test_exits_2_with_one_error_line(self, tmp_path, capsys, command, unbuffered):
+        data, spec, out = tmp_path / "panel.csv", tmp_path / "spec.json", tmp_path / "o"
+        write_plain_csv(data, np.random.default_rng(17).standard_normal((10, 20)))
+        assert main(["fit", "--L", "1", "--input", str(data), "--out", str(tmp_path / "fit")]) == 0
+        spec.write_text(json.dumps({"dgp": "rough", "kind": "sse", "settings": [{"p": 15, "T": 20, "sigma2": 0.01}],
+                                    "replications": 2, "seed": 5, "l": 2}))
+        argv = {"fit": ["fit", "--L", "2", "--input", str(data), "--out", str(out)],
+                "test": ["test", "--from-fit", str(tmp_path / "fit")],
+                "simulate": ["simulate", "--spec", str(spec), "--out", str(out)]}[command]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(main.__code__.co_filename).resolve().parents[1])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the command prints
+        try:
+            done = subprocess.run([sys.executable, "-m", "fdfactor.cli", *argv], stdout=write,
+                                  stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        finally:
+            os.close(write)
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == ["error: [Errno 32] Broken pipe"]  # no traceback, no exit-flush noise
+        # fit prints after writing its files; simulate's seed line comes before any replication or file
+        written = sorted(f.name for f in (tmp_path / "fit").iterdir()) if command == "fit" else []
+        assert sorted(f.name for f in out.glob("*")) == written
 
 
 #: the table commands that reject a bad cell by name

@@ -28,6 +28,7 @@ from fdfactor import (
     gen_spline_signals,
     iid_noise_test,
     lambda_scree,
+    plateau_fit,
     rough_components,
     run_monte_carlo,
     select_frequencies,
@@ -36,8 +37,6 @@ from fdfactor import (
 )
 from fdfactor.diagnostics import _selection
 from fdfactor.simulate import (
-    _DrawnAhead,
-    _generate_panel,
     _quadrature_variance,
     _spline_projector,
     coefficient_variances,
@@ -514,7 +513,9 @@ class TestMonteCarloHarness:
         row = run_monte_carlo(spec).results[0]
         sse, ls = [], []
         for ri in range(spec.replications):
-            signals, observed = _generate_panel(spec, setting, replication_rng(spec.seed, 0, ri))
+            rng = replication_rng(spec.seed, 0, ri)
+            signals = gen_rough_signals(RoughDgpConfig(p=p, T=T, sigma2=0.05), rng)[0]
+            observed = add_noise(signals, gen_ar1_noise(p, T, 0.0, np.sqrt(0.05), rng))
             sel = select_frequencies(p, spec.cutoff, auto_thinning(p, T, spec.cutoff))
             curve = lambda_scree(observed, min(6, T - 1, p), sel)
             L = suggest_plateau_L(curve).L
@@ -640,65 +641,73 @@ class TestDrawnAhead:
 
     @pytest.mark.parametrize("name", SPECS)
     def test_records_equal_the_replication_run_inline(self, name):
+        """The harness's arrays give, through the cores, the public generators' panels, and the same records."""
         import fdfactor.simulate as simulate
 
         spec = self.spec(name)
         runner = simulate._run_sse_rep if spec.kind == "sse" else simulate._run_test_rep
         setting = spec.settings[0]
+        ar1 = (setting.theta_ar, float(np.sqrt(setting.sigma2)))
+        sel = _selection(setting.p, setting.T, spec.cutoff, spec.thinning)
         for ri in range(spec.replications):
-            drawn = _DrawnAhead(spec, 0, ri).fill()
-            record = runner(spec, setting, drawn)
-            assert record == runner(spec, setting, replication_rng(spec.seed, 0, ri))
+            arrays = simulate._fill(*simulate._normals(spec, 0, ri))
+            rng = replication_rng(spec.seed, 0, ri)  # the same stream, drawn inline by the public generators
+            if spec.kind == "sse":
+                cfg = simulate._signal_config(spec, setting)
+                if spec.dgp == "rough":
+                    signals, scores = gen_rough_signals(cfg, rng)
+                    core, core_scores = simulate._rough_signals(cfg, arrays[0].copy())
+                    assert np.array_equal(core_scores, scores)
+                else:
+                    signals, core = gen_spline_signals(cfg, rng), simulate._spline_signals(cfg, arrays[0].copy())
+                assert np.array_equal(core.values, signals.values)
+            noise = gen_ar1_noise(setting.p, setting.T, *ar1, rng)
+            assert np.array_equal(simulate._ar1_rows(arrays[-1].copy(), *ar1), noise)
+            record = runner(spec, setting, arrays)
+            assert arrays == []  # every array taken, and none kept
+            if spec.kind == "sse":
+                observed, K = add_noise(signals, noise), max(4, setting.p // 3)
+                if spec.l_policy == "fixed":
+                    L, estimate = spec.l_fixed, fit(observed, spec.l_fixed).signals
+                else:
+                    _, suggestion, result = plateau_fit(observed, min(spec.scree_l_max, setting.T - 1, setting.p), sel)
+                    L, estimate = suggestion.L, result.signals
+                expected = {"pca": (sse_appr(signals, estimate), float(L)),
+                            "bspline": (sse_appr(signals, bspline_ls_fit(observed, K)), float(K))}
+            else:
+                rep = iid_noise_test(noise, sel)
+                expected = {"noise-test": (rep.lambda_fin, rep.lambda_inf, rep.p_fin, rep.p_inf)}
+            assert record == expected
             assert not any(isinstance(r, str) for r in record.values())  # no failed method compares vacuously
-            assert drawn.draws == []  # every draw handed back, and none kept
 
     def test_draws_run_on_the_helper_and_replications_on_the_chunk_thread(self, monkeypatch):
         import fdfactor.simulate as simulate
 
         streams, draws, reps = [], [], []
-        real_rng, real_fill, real_runner = simulate.replication_rng, _DrawnAhead.fill, simulate._run_sse_rep
+        real_rng, real_fill, real_runner = simulate.replication_rng, simulate._fill, simulate._run_sse_rep
 
-        def rng_spy(*args):
-            streams.append(args)
+        def rng_spy(*args):  # called where the replication's arrays are allocated
+            streams.append((args, threading.current_thread().name))
             return real_rng(*args)
 
-        def fill_spy(drawn):
+        def fill_spy(rng, arrays):
             draws.append(threading.current_thread().name)
-            return real_fill(drawn)
+            return real_fill(rng, arrays)
 
         def runner_spy(*args):
             reps.append(threading.current_thread().name)
             return real_runner(*args)
 
         monkeypatch.setattr(simulate, "replication_rng", rng_spy)
-        monkeypatch.setattr(_DrawnAhead, "fill", fill_spy)
+        monkeypatch.setattr(simulate, "_fill", fill_spy)
         monkeypatch.setattr(simulate, "_run_sse_rep", runner_spy)
         run_monte_carlo(self.spec("rough-sse", replications=7), workers=3)
-        # each replication drawn once, none beyond a chunk's end, and only on helper threads
-        assert sorted(streams) == [(321, 0, ri) for ri in range(7)]
+        # each replication allocated on a chunk thread and drawn once, on a helper, none beyond a chunk's end
+        assert sorted(args for args, _ in streams) == [(321, 0, ri) for ri in range(7)]
+        assert not any(name.startswith("fdfactor-draws") for _, name in streams)
         assert len(draws) == 7 and all(name.startswith("fdfactor-draws") for name in draws)
         assert len(reps) == 7 and not any(name.startswith("fdfactor-draws") for name in reps)
         assert threading.current_thread().name not in reps
-
-    def test_a_shape_it_does_not_hold_or_any_other_call_raises(self):
-        drawn = _DrawnAhead(self.spec("rough-sse"), 0, 0).fill()
-        with pytest.raises(RuntimeError, match=r"shape \(20, 30\), holding \[\(30, 3\), \(20, 30\)\]"):
-            drawn.standard_normal((20, 30))  # the noise's shape, asked before the signal's
-        with pytest.raises(AttributeError):
-            drawn.normal(size=3)
-        assert [d.shape for d in drawn.draws] == [(30, 3), (20, 30)]
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_a_wrong_shape_or_an_unused_draw_propagates(self, monkeypatch, workers):
-        import fdfactor.simulate as simulate
-
-        spec = self.spec("noise-test")
-        monkeypatch.setattr(simulate, "_run_test_rep", lambda spec, setting, rng: {"noise-test": (1.0, 1.0, 0.5, 0.5)})
-        with pytest.raises(RuntimeError, match=r"^replication 0 left normals unused: \[\(60, 40\)\]$"):
-            run_monte_carlo(spec, workers)
-        monkeypatch.setattr(simulate, "_run_test_rep", lambda spec, setting, rng: rng.standard_normal((40, 60)))
-        with pytest.raises(RuntimeError, match=r"asked for normals of shape \(40, 60\)"):
-            run_monte_carlo(spec, workers)
 
     @pytest.mark.parametrize("exc", [TypeError, KeyboardInterrupt])
     @pytest.mark.parametrize("workers", [1, 2])
