@@ -220,11 +220,10 @@ def _cmd_diagnose(args):
     with np.errstate(over="ignore", invalid="ignore"):
         acvf, acf = residual_acf(residuals.values[args.curve - 1], h_max)
         cov = residual_covariance(residuals)
-        corr, _ = _covariance_to_correlation(cov)
-        if args.cols is not None:
+        if args.cols is not None:  # the correlation of the written block only
             lo, hi = _parse_window(args.cols, residuals.p)
             cov = cov[lo:hi, lo:hi]
-            corr = corr[lo:hi, lo:hi]
+        corr, _ = _covariance_to_correlation(cov)
         sel = _selection(residuals.p, residuals.T, args.cutoff, args.thin)
         xi = averaged_periodogram(residuals, sel)
     # NaN correlations of zero-variance columns are documented output, not a fault

@@ -296,7 +296,12 @@ def residual_covariance(residuals) -> np.ndarray:
         raise DimensionError("covariance needs at least two residual rows")
     Z = values - values.mean(axis=0)
     C = Z.T @ Z / values.shape[0]
-    return (C + C.T) / 2.0
+    del Z
+    for a in range(0, C.shape[0], 32):  # (C + C.T) / 2 in place, 32 rows at a time: no second p x p array
+        S = C[a:a + 32, a:] + C[a:, a:a + 32].T
+        S /= 2.0
+        C[a:a + 32, a:], C[a:, a:a + 32] = S, S.T
+    return C
 
 
 def residual_correlation(residuals):

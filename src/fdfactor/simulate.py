@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -519,6 +518,8 @@ def run_monte_carlo(spec: SimulationSpec, workers: Optional[int] = None) -> Simu
     A replication raising one of ``REPLICATION_ERRORS`` counts as failed, by
     its exception's class name, and is excluded; any other propagates.
     """
+    from concurrent.futures import ThreadPoolExecutor  # here, so that other commands never load it
+
     workers = max(1, workers or 1)
     runner = _run_sse_rep if spec.kind == "sse" else _run_test_rep
     R = spec.replications

@@ -287,16 +287,18 @@ class TestDiagnoseCommand:
         assert cov.shape == (6, 6)
         assert (out / "correlation.csv").exists() and (out / "xi.csv").exists()
 
-    @pytest.mark.parametrize("cols", [None, "2:7"])
-    def test_matrices_read_back_exactly(self, tmp_path, cols):
-        values = np.random.default_rng(14).standard_normal((30, 12))
-        values[:, 4] = 2.5  # a zero-variance column: NaN correlations
+    @pytest.mark.parametrize("shape, cols, flat", [((30, 12), None, 4), ((30, 12), "2:7", 4),
+                                                   ((20, 60), "31:45", 36)])  # the last has T < p
+    def test_matrices_read_back_exactly(self, tmp_path, shape, cols, flat):
+        values = np.random.default_rng(14).standard_normal(shape)
+        values[:, flat] = 2.5  # a zero-variance column: NaN correlations
         data = tmp_path / "resid.csv"
         write_plain_csv(data, values)
         out = tmp_path / "diag"
         argv = ["diagnose", "--input", str(data), "--out", str(out)]
         assert main(argv + (["--cols", cols] if cols else [])) == 0
-        window = slice(1, 7) if cols else slice(None)
+        lo, hi = map(int, (cols or f"1:{shape[1]}").split(":"))
+        window = slice(lo - 1, hi)
         panel = load_panel(data)
         expected = {"covariance.csv": residual_covariance(panel),
                     "correlation.csv": residual_correlation(panel)[0]}
@@ -304,6 +306,22 @@ class TestDiagnoseCommand:
             got = np.loadtxt(out / name, delimiter=",", ndmin=2)
             assert np.array_equal(got, matrix[window, window], equal_nan=True)
         assert np.isnan(np.loadtxt(out / "correlation.csv", delimiter=",")).any()
+
+    def test_correlation_is_built_for_the_window_only(self, tmp_path, monkeypatch):
+        import fdfactor.cli as cli
+
+        shapes, build = [], cli._covariance_to_correlation
+
+        def spy(C):
+            shapes.append(C.shape)
+            return build(C)
+
+        monkeypatch.setattr(cli, "_covariance_to_correlation", spy)
+        data = tmp_path / "resid.csv"
+        write_plain_csv(data, np.random.default_rng(9).standard_normal((20, 60)))
+        assert main(["diagnose", "--input", str(data), "--cols", "31:45",
+                     "--out", str(tmp_path / "diag")]) == 0
+        assert shapes == [(15, 15)]
 
     def test_builds_the_covariance_once(self, tmp_path, monkeypatch):
         import fdfactor.cli as cli

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -344,6 +345,26 @@ class TestResidualCovariance:
         C = residual_covariance(make_panel(rng.standard_normal((10, 7))))
         assert np.array_equal(C, C.T)
         assert np.min(np.linalg.eigvalsh(C)) > -1e-10
+
+    @pytest.mark.parametrize("T, p", [(2, 1), (5, 31), (30, 32), (4, 33), (20, 70), (3, 100)])
+    def test_equals_the_symmetrised_product_exactly(self, T, p):
+        values = np.random.default_rng(p).standard_normal((T, p)) * np.linspace(0.1, 10.0, p)
+        Z = values - values.mean(axis=0)
+        C = Z.T @ Z / T
+        expected = (C + C.T) / 2.0
+        assert residual_covariance(values).tobytes() == expected.tobytes()
+
+    def test_peak_memory_is_about_one_matrix(self):
+        """The centred copy is dropped and (C + C.T) / 2 formed in place: no second p x p array."""
+        T, p = 30, 400
+        values = np.random.default_rng(7).standard_normal((T, p))
+        tracemalloc.start()
+        try:
+            C = residual_covariance(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * C.nbytes
 
     def test_correlation_flags_degenerate_columns(self):
         values = np.array([[1.0, 0.0, 2.0], [3.0, 0.0, 1.0], [2.0, 0.0, 3.0]])

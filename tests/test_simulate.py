@@ -379,17 +379,26 @@ class TestMonteCarloHarness:
         with pytest.raises(DomainError, match=r"\(0\.01, 0\.05, 0\.1\)"):
             self.spec(levels=(0.2,))
 
+    def test_import_leaves_the_thread_pool_unloaded(self):
+        """Only run_monte_carlo imports concurrent.futures; the table commands never load it."""
+        src = str(Path(fdfactor.__file__).resolve().parents[1])
+        code = "import sys, fdfactor.cli; print('concurrent.futures' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert done.stdout.strip() == "False"
+
     def test_worker_count_comes_from_the_argument_only(self, monkeypatch):
-        import fdfactor.simulate as simulate
+        import concurrent.futures
 
         pools = []
 
-        class Recorder(simulate.ThreadPoolExecutor):
+        class Recorder(concurrent.futures.ThreadPoolExecutor):
             def __init__(self, max_workers, thread_name_prefix=""):
                 pools.append((thread_name_prefix, max_workers))
                 super().__init__(max_workers=max_workers, thread_name_prefix=thread_name_prefix)
 
-        monkeypatch.setattr(simulate, "ThreadPoolExecutor", Recorder)
+        # run_monte_carlo imports the pool when it is called, from concurrent.futures
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
         monkeypatch.setenv("FDFACTOR_WORKERS", "3")
         spec = self.spec(replications=2)
         for workers in (None, 0, -2, 2):
