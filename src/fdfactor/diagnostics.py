@@ -295,13 +295,7 @@ def residual_covariance(residuals) -> np.ndarray:
     if values.shape[0] < 2:
         raise DimensionError("covariance needs at least two residual rows")
     Z = values - values.mean(axis=0)
-    C = Z.T @ Z / values.shape[0]
-    del Z
-    for a in range(0, C.shape[0], 32):  # (C + C.T) / 2 in place, 32 rows at a time: no second p x p array
-        S = C[a:a + 32, a:] + C[a:, a:a + 32].T
-        S /= 2.0
-        C[a:a + 32, a:], C[a:, a:a + 32] = S, S.T
-    return C
+    return Z.T @ Z / values.shape[0]
 
 
 def residual_correlation(residuals):
@@ -318,7 +312,9 @@ def _covariance_to_correlation(C):
     d = np.sqrt(np.diag(C))
     degenerate = d == 0.0
     scale = np.where(degenerate, np.nan, d)
-    corr = C / np.outer(scale, scale)
+    corr = np.empty_like(C)
+    for i in range(C.shape[0]):  # C / outer(scale, scale), one row at a time: no second p x p array
+        np.divide(C[i], scale[i] * scale, out=corr[i])
     np.fill_diagonal(corr, np.where(degenerate, np.nan, 1.0))
     return corr, degenerate
 

@@ -136,8 +136,7 @@ def suggest_plateau_L(curve: ScreeCurve, rel_tol: float = 0.1) -> PlateauSuggest
     steps = np.abs(np.diff(g))
     threshold = rel_tol * (g.max() - g.min())
     for l in range(1, l_max):
-        last = min(l + 2, l_max - 1)
-        if np.all(steps[l - 1 : last] <= threshold):
+        if np.all(steps[l - 1 : l + 2] <= threshold):  # up to three steps: the slice stops at the last
             return PlateauSuggestion(l, True)
     return PlateauSuggestion(l_max, False)
 

@@ -298,7 +298,7 @@ def _spline_projector(K: int, grid_bytes: bytes):
     B = _spline_design(K, grid_bytes)
     G = B.T @ B
     try:
-        C = np.linalg.cholesky((G + G.T) / 2.0)
+        C = np.linalg.cholesky(G)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"rank-deficient spline design (K={K}, p={B.shape[0]}): {exc}") from exc
     return B, _frozen(np.linalg.solve(C.T, np.linalg.solve(C, B.T)))
@@ -354,6 +354,8 @@ class SimulationSpec:
             raise DomainError(f"unknown study kind {self.kind!r}")
         if self.l_policy not in ("fixed", "plateau"):
             raise DomainError(f"unknown L policy {self.l_policy!r}")
+        if empty := [k for k in ("settings", "methods") if not getattr(self, k)]:
+            raise DomainError(f"{empty[0]} must list at least one entry")
         if unknown := set(self.methods) - {"pca", "bspline"}:
             raise DomainError(f"unknown methods {sorted(unknown)}")
         if repeated := [m for i, m in enumerate(self.methods) if m in self.methods[:i]]:

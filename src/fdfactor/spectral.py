@@ -79,7 +79,7 @@ def _centered_eigh(values: np.ndarray, center: bool = True) -> _CenteredSpectrum
         Z = values - mu
         G = Z @ Z.T / T if T <= p else Z.T @ Z / T
     _require_finite(G, "Gram matrix of the panel", "the panel is")
-    vals, vecs = eigh_descending((G + G.T) / 2.0)
+    vals, vecs = eigh_descending(G)
     return _CenteredSpectrum(mu, Z, vals, vecs)
 
 

@@ -565,6 +565,19 @@ class TestSimulateSpecValidation:
         assert code == 2 and message in err and out == ""
         assert calls == [] and not (tmp_path / "sim").exists()
 
+    @pytest.mark.parametrize("fields, key", [
+        ({"settings": []}, "settings"),
+        ({"methods": []}, "methods"),
+        ({"kind": "noise-test", "settings": []}, "settings"),
+    ], ids=["settings", "methods", "noise-test-settings"])
+    def test_empty_study_list_exits_2_before_the_seed_line_and_any_replication(
+            self, tmp_path, capsys, monkeypatch, fields, key):
+        calls = self.spy_runners(monkeypatch)
+        code, err, _, out = self.run(tmp_path, capsys, json.dumps({**self.BASE, **fields}))
+        assert (code, out) == (2, "")
+        assert err == f"error: {key} must list at least one entry\n"
+        assert calls == [] and not (tmp_path / "sim").exists()
+
     def test_signal_variance_beyond_the_float_range_exits_2_naming_it(self, tmp_path, capsys, monkeypatch):
         # 1e400 parses to inf; no replication may run on it, or warn on stderr
         calls = self.spy_runners(monkeypatch)

@@ -28,6 +28,7 @@ from fdfactor import (
     residual_covariance,
     select_frequencies,
 )
+from fdfactor.diagnostics import _covariance_to_correlation
 
 
 def make_panel(values):
@@ -355,7 +356,7 @@ class TestResidualCovariance:
         assert residual_covariance(values).tobytes() == expected.tobytes()
 
     def test_peak_memory_is_about_one_matrix(self):
-        """The centred copy is dropped and (C + C.T) / 2 formed in place: no second p x p array."""
+        """Z'Z / T is divided in place and not symmetrised again: no second p x p array."""
         T, p = 30, 400
         values = np.random.default_rng(7).standard_normal((T, p))
         tracemalloc.start()
@@ -365,6 +366,30 @@ class TestResidualCovariance:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * C.nbytes
+
+    def test_correlation_holds_one_matrix_beyond_the_covariance(self):
+        """Built one row at a time: no p x p outer product of the scales beside the result."""
+        C = residual_covariance(np.random.default_rng(8).standard_normal((30, 400)))
+        tracemalloc.start()
+        try:
+            _covariance_to_correlation(C)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * C.nbytes
+
+    def test_correlation_equals_the_outer_product_formula_exactly(self):
+        values = np.random.default_rng(9).standard_normal((12, 9)) * np.linspace(0.5, 40.0, 9)
+        values[:, 4] = 3.0  # a zero-variance column
+        C = residual_covariance(values)
+        d = np.sqrt(np.diag(C))
+        degenerate = d == 0.0
+        scale = np.where(degenerate, np.nan, d)
+        expected = C / np.outer(scale, scale)
+        np.fill_diagonal(expected, np.where(degenerate, np.nan, 1.0))
+        corr, flags = _covariance_to_correlation(C)
+        assert corr.tobytes() == expected.tobytes()
+        assert flags.tolist() == [j == 4 for j in range(9)]
 
     def test_correlation_flags_degenerate_columns(self):
         values = np.array([[1.0, 0.0, 2.0], [3.0, 0.0, 1.0], [2.0, 0.0, 3.0]])

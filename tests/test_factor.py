@@ -7,6 +7,7 @@ from fdfactor import (
     RoughDgpConfig,
     SampleGrid,
     add_noise,
+    empirical_eigensystem,
     fit,
     gen_ar1_noise,
     gen_rough_signals,
@@ -16,6 +17,7 @@ from fdfactor import (
     signal_panel,
     sse_appr,
 )
+from fdfactor.factor import DEGENERATE_GAP
 
 
 def make_panel(values):
@@ -180,6 +182,33 @@ class TestFitInvariants:
         r = fit(make_panel(rows), 2)
         assert len(r.warnings) == 1
         assert np.max(np.abs(r.scores.T @ r.scores / 6 - np.eye(2))) < 1e-10
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_eigengap_check_is_relative_to_the_leading_eigenvalue(self, scale):
+        rows = np.outer(np.arange(6) - 2.5, np.ones(4))  # rank one: gamma_2 = gamma_3
+        assert len(fit(make_panel(scale * rows), 2).warnings) == 1
+        separated = np.random.default_rng(3).standard_normal((40, 9))
+        assert fit(make_panel(scale * separated), 3).warnings == ()
+
+    def test_exactly_zero_dropped_eigenvalues_still_warn(self):
+        # one centred column: the p-side Gram is diag(1/2, 0, 0), so gamma_2 = gamma_3 = 0
+        r = fit(make_panel([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), 2)
+        assert len(r.warnings) == 1
+
+    def test_a_gap_equal_to_the_bound_does_not_warn(self):
+        # centred orthogonal columns (0, 0, c, -c), (u, -u, 0, 0) and 0 give the p-side Gram
+        # diag(c^2/2, u^2/2, 0).  Walk u and c over neighbouring floats until the gap at L = 2,
+        # gamma_2 - gamma_3, equals DEGENERATE_GAP * gamma_1 exactly: only a gap below it warns
+        ties = 0
+        for u in 2e-5 + np.spacing(2e-5) * np.arange(-5, 6):
+            c0 = u / np.sqrt(DEGENERATE_GAP)
+            for c in c0 + np.spacing(c0) * np.arange(-10, 11):
+                panel = make_panel([[0.0, u, 0.0], [0.0, -u, 0.0], [c, 0.0, 0.0], [-c, 0.0, 0.0]])
+                gamma = empirical_eigensystem(panel).gram_eigenvalues
+                if gamma[1] - gamma[2] == DEGENERATE_GAP * gamma[0]:
+                    ties += 1
+                    assert fit(panel, 2).warnings == ()
+        assert ties
 
     def test_zero_panel_keeps_orthonormal_scores(self):
         r = fit(make_panel(np.zeros((5, 4))), 2)

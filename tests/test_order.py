@@ -183,6 +183,11 @@ class TestLambdaScree:
         with pytest.raises(OrderError):
             lambda_scree(panel, 9, sel)
 
+    def test_order_bound_at_t_below_p_names_it(self):
+        panel = make_panel(np.random.default_rng(5).standard_normal((10, 20)))
+        with pytest.raises(OrderError, match=r"min\(T-1, p\) = 9, got 10$"):
+            lambda_scree(panel, 10, select_frequencies(20, 0.0, 1))
+
     def test_large_smooth_example_plateaus_by_twenty(self):
         cfg = SmoothDgpConfig(p=365, T=200, sigma=2.0, seed=99)
         rng = np.random.default_rng(cfg.seed)
@@ -252,6 +257,40 @@ class TestPlateauRule:
     def test_rel_tol_domain(self):
         with pytest.raises(DomainError):
             suggest_plateau_L(stat_curve([4.0, 3.0, 1.0, 1.0, 1.0]), rel_tol=0.0)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e3])
+    def test_rule_is_scale_free(self, scale):
+        # the threshold is rel_tol times the range of the log elevations, which no scale moves
+        curve = stat_curve(scale * np.array([100, 50, 5, 5.1, 4.9, 5.0]))
+        assert suggest_plateau_L(curve) == (3, True)
+
+    def test_three_flat_steps_make_a_plateau(self):
+        # order 3 is followed by three flat steps, then a rise it does not look at
+        assert suggest_plateau_L(stat_curve([100, 50, 5, 5.1, 4.9, 5.0, 30, 30, 30, 30])) == (3, True)
+        # two flat steps then the rise are not enough: the plateau starts at 6
+        assert suggest_plateau_L(stat_curve([100, 50, 5, 5.1, 4.9, 30, 30, 30, 30, 30])) == (6, True)
+
+    def test_a_curve_flat_from_order_one_suggests_one(self):
+        assert suggest_plateau_L(stat_curve([3.0, 3.0, 3.0, 3.0, 0.0])) == (1, True)
+
+    def test_rel_tol_of_one_is_outside_the_domain(self):
+        with pytest.raises(DomainError, match=r"rel_tol must lie in \(0, 1\), got 1\.0$"):
+            suggest_plateau_L(stat_curve([4.0, 3.0, 1.0, 1.0, 1.0]), rel_tol=1.0)
+
+    def test_a_step_equal_to_the_threshold_is_flat(self):
+        # v = [x, 0, 0, 0, M]: the first step is log(x + f) - log(f), f = rel_tol^2 M.  Walk x
+        # over neighbouring floats until that step, computed as the rule computes it, equals
+        # the threshold exactly: the tie counts as flat, so order 1 qualifies
+        rel_tol, ties = 0.5, 0
+        for M in np.arange(1.0, 41.0):
+            f = rel_tol**2 * M
+            x0 = f * (np.exp(rel_tol * np.log(1.0 + 1.0 / rel_tol**2)) - 1.0)
+            for x in x0 + np.spacing(x0) * np.arange(-8, 9):
+                g = np.log(np.array([x, 0.0, 0.0, 0.0, M]) + f)
+                if g[0] - g[1] == rel_tol * (g.max() - g.min()):
+                    ties += 1
+                    assert suggest_plateau_L(stat_curve([x, 0.0, 0.0, 0.0, M]), rel_tol) == (1, True)
+        assert ties
 
     def test_handles_negative_statistics(self):
         # lambda_inf baselines can dip below zero after the true order

@@ -250,6 +250,33 @@ class TestSmallerSideEigensystem:
         assert np.array_equal(system.eigvecs, vecs)
 
 
+class TestGramProductsAreExactlySymmetric:
+    """numpy forms A'A and AA' with BLAS syrk and mirrors the triangle, so each Gram
+    product the package forms comes back exactly symmetric, and the package does not
+    symmetrise it again.  A failure here means numpy stopped mirroring the triangle:
+    then (G + G.T) / 2 must come back in ``spectral._centered_eigh``,
+    ``simulate._spline_projector`` and ``diagnostics.residual_covariance``.
+    """
+
+    @pytest.mark.parametrize("layout", ["C", "F", "column-sliced"])
+    @pytest.mark.parametrize("T, p", [(2, 1), (50, 20), (400, 70), (200, 365), (1000, 365)])
+    def test_panel_gram_products(self, T, p, layout):
+        values = np.random.default_rng(T + p).standard_normal((T, p + 1))
+        Z = values - values.mean(axis=0)
+        Z = {"C": np.ascontiguousarray(Z[:, :p]), "F": np.asfortranarray(Z[:, :p]),
+             "column-sliced": Z[:, 1:]}[layout]
+        for G in (Z @ Z.T / T, Z.T @ Z / T):
+            assert np.array_equal(G, G.T)
+
+    @pytest.mark.parametrize("p", [20, 50, 365])
+    def test_spline_gram(self, p):
+        from fdfactor.simulate import _spline_design
+
+        B = _spline_design(p // 3, SampleGrid.midpoints(p).points.tobytes())
+        G = B.T @ B
+        assert np.array_equal(G, G.T)
+
+
 class TestEighWrapper:
     def test_solver_failure_carries_diagnostics(self):
         from fdfactor import NumericalError
