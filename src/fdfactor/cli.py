@@ -51,7 +51,7 @@ from .errors import (
     PanelFormatError,
     SelectionError,
 )
-from .factor import _fit_files, fit, load_fit_residuals
+from .factor import _fit_files, _max_order, fit, load_fit_residuals
 from .order import _scree_spectrum, plateau_fit, suggest_plateau_L
 from .panel import (
     SampleGrid,
@@ -138,7 +138,7 @@ def _cmd_fit(args):
 
     if args.scree_auto:
         sel = _selection(panel.p, panel.T, args.cutoff, args.thin)
-        l_max = min(args.lmax, min(panel.T - 1, panel.p))
+        l_max = min(args.lmax, _max_order(panel.T, panel.p))
         _, suggestion, result = plateau_fit(panel, l_max, sel)
         L = suggestion.L
         params["l_policy"] = "plateau"
@@ -183,7 +183,7 @@ def _cmd_test(args):
 def _cmd_scree(args):
     panel = load_panel(args.input, header=args.header)
     sel = _selection(panel.p, panel.T, args.cutoff, args.thin)
-    l_max = min(args.lmax, min(panel.T - 1, panel.p))
+    l_max = min(args.lmax, _max_order(panel.T, panel.p))
     spectrum = _centered_eigh(panel.values)
     lam = _scree_spectrum(spectrum, l_max, sel)
     gamma = spectrum.gram_eigenvalues[:l_max]
@@ -286,11 +286,13 @@ def _read_spec(path):
     except ValueError as exc:
         raise PanelFormatError(f"{path}: not a JSON spec ({exc})") from None
     fields = _spec_fields(raw, _SPEC_TYPES, ("dgp", "settings", "replications"), str(path))
-    fields["settings"] = [
-        SimSetting(**_spec_fields(s, _SETTING_TYPES, ("p", "T", "sigma2"),
-                                  f"{path}: settings[{i}]"))
-        for i, s in enumerate(fields["settings"])
-    ]
+    settings = fields["settings"] = list(fields["settings"])  # a copy: the manifest records the spec as read
+    for i, s in enumerate(settings):
+        where = f"{path}: settings[{i}]"
+        try:
+            settings[i] = SimSetting(**_spec_fields(s, _SETTING_TYPES, ("p", "T", "sigma2"), where))
+        except (DimensionError, DomainError) as exc:
+            raise type(exc)(f"{where}: {exc}") from None
     if not all(isinstance(m, str) for m in fields.get("methods", ())):
         raise PanelFormatError(f"{path}: key 'methods' must be a list of strings")
     if "l" in fields:

@@ -104,10 +104,7 @@ def select_frequencies(p: int, cutoff: float = 0.1, thinning: int = 1) -> Freque
     """
     if p < 6:
         raise DimensionError(f"frequency selection needs p >= 6, got {p}")
-    if not 0.0 <= cutoff < 1.0:
-        raise DomainError(f"cutoff must lie in [0, 1), got {cutoff}")
-    if thinning < 1:
-        raise DomainError(f"thinning must be a positive integer, got {thinning}")
+    _check_selection(cutoff, thinning)
     q = p // 2
     first = int(np.ceil(cutoff * q)) + 1
     idx = np.arange(first, q + 1)
@@ -118,6 +115,14 @@ def select_frequencies(p: int, cutoff: float = 0.1, thinning: int = 1) -> Freque
             f"thinning={thinning}); lower the cutoff or the thinning"
         )
     return FrequencySelection(p=p, cutoff=cutoff, thinning=thinning, indices=idx)
+
+
+def _check_selection(cutoff: float, thinning) -> None:
+    """Raise DomainError unless cutoff lies in [0, 1) and thinning, where not None (automatic), is >= 1."""
+    if not 0.0 <= cutoff < 1.0:
+        raise DomainError(f"cutoff must lie in [0, 1), got {cutoff}")
+    if thinning is not None and thinning < 1:
+        raise DomainError(f"thinning must be a positive integer, got {thinning}")
 
 
 def auto_thinning(p: int, T: int, cutoff: float = 0.1, max_ratio: float = 0.3) -> int:
@@ -326,11 +331,16 @@ def ar1_spectral_density(theta_coef: float, sigma: float, theta: float) -> float
     (theta_coef = 0) has the constant density sigma^2, matching the
     expected periodogram level.
     """
-    if not abs(theta_coef) < 1.0:
-        raise DomainError(f"AR(1) coefficient must satisfy |theta| < 1, got {theta_coef}")
+    _check_ar1("AR(1) coefficient", theta_coef)
     if not sigma > 0.0:
         raise DomainError(f"innovation scale must be positive, got {sigma}")
     return float(sigma**2 / (1.0 - 2.0 * theta_coef * np.cos(theta) + theta_coef**2))
+
+
+def _check_ar1(name: str, theta: float, smooth: bool = False) -> None:
+    """Raise DomainError unless |theta| < 1, which keeps an AR(1) stationary; the smooth DGP takes [0, 1)."""
+    if not (0.0 <= theta < 1.0 if smooth else abs(theta) < 1.0):
+        raise DomainError(f"{name} must lie in {'[0, 1) for the smooth DGP' if smooth else '(-1, 1)'}, got {theta}")
 
 
 # ---------------------------------------------------------------------------

@@ -113,12 +113,15 @@ def fit(panel: ObservationPanel, L: int) -> FactorFit:
     p x p side is used, the T-side eigenvectors are recovered by
     orthonormalizing the mapped columns Z V_L.
     """
-    T, p = panel.T, panel.p
-    if not isinstance(L, (int, np.integer)) or not 1 <= L <= min(T - 1, p):
-        raise OrderError(
-            f"factor order must satisfy 1 <= L <= min(T-1, p) = {min(T - 1, p)}, got {L}"
-        )
+    bound = _max_order(panel.T, panel.p)
+    if not isinstance(L, (int, np.integer)) or not 1 <= L <= bound:
+        raise OrderError(f"factor order must satisfy 1 <= L <= min(T-1, p) = {bound}, got {L}")
     return _fit_spectrum(panel, _centered_eigh(panel.values), L)
+
+
+def _max_order(T: int, p: int) -> int:
+    """The largest factor order of a centered T x p panel: its rank, min(T - 1, p)."""
+    return min(T - 1, p)
 
 
 def _fit_spectrum(panel: ObservationPanel, spectrum: _CenteredSpectrum, L: int) -> FactorFit:
@@ -128,7 +131,7 @@ def _fit_spectrum(panel: ObservationPanel, spectrum: _CenteredSpectrum, L: int) 
     E = spectrum.leading_vectors(L, "t")
 
     fit_warnings = []
-    if L < min(T, panel.p) and vals[0] > 0 and (vals[L - 1] - vals[L]) < DEGENERATE_GAP * vals[0]:
+    if L < min(T, panel.p) and (vals[L - 1] - vals[L]) < DEGENERATE_GAP * vals[0]:
         fit_warnings.append(
             f"eigengap between kept and dropped eigenvalues is below "
             f"{DEGENERATE_GAP:g} * gamma_1; the L-dimensional projector is "

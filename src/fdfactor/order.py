@@ -17,7 +17,7 @@ import numpy as np
 
 from .diagnostics import FrequencySelection, _noise_statistics, _retained_dft, _second_differences
 from .errors import DimensionError, DomainError, OrderError
-from .factor import _fit_spectrum
+from .factor import _fit_spectrum, _max_order
 from .panel import ObservationPanel, _readonly
 from .spectral import EigenSystem, _CenteredSpectrum, _centered_eigh
 
@@ -92,8 +92,8 @@ def _scree_spectrum(spectrum: _CenteredSpectrum, l_max: int, sel: FrequencySelec
     order l, column j keeps ||R_j||^2 + sum_{k>l} A_kj^2, a sum of nonnegative terms.
     """
     T, p = spectrum.centered.shape
-    if not 1 <= l_max <= min(T - 1, p):
-        raise OrderError(f"l_max must lie in 1..min(T-1, p) = {min(T - 1, p)}, got {l_max}")
+    if not 1 <= l_max <= _max_order(T, p):
+        raise OrderError(f"l_max must lie in 1..min(T-1, p) = {_max_order(T, p)}, got {l_max}")
     E = spectrum.leading_vectors(l_max, "t")
     C = np.ascontiguousarray(_retained_dft(spectrum.centered, sel)).view(float)
     energy = []  # per block, row l - 1: each column's residual energy after order l

@@ -25,9 +25,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .diagnostics import _selection, iid_noise_test
+from .diagnostics import _check_ar1, _check_selection, _selection, iid_noise_test
 from .errors import DimensionError, DomainError, NumericalError, OrderError, SelectionError
-from .factor import fit
+from .factor import _max_order, fit
 from .order import plateau_fit
 from .panel import ObservationPanel, SampleGrid, _frozen, _write_rows
 
@@ -43,6 +43,12 @@ _LEVELS = (0.01, 0.05, 0.10)
 
 #: errors that count a replication as failed; any other exception propagates
 REPLICATION_ERRORS = (DimensionError, DomainError, NumericalError, OrderError, SelectionError)
+
+
+def _check_scale(name: str, value: float) -> None:
+    """Raise DomainError unless a variance or a standard deviation is finite and nonnegative."""
+    if not 0 <= value < np.inf:
+        raise DomainError(f"{name} must be finite and nonnegative, got {value}")
 
 
 def replication_rng(seed: int, setting_index: int, replication_index: int) -> np.random.Generator:
@@ -87,8 +93,7 @@ class RoughDgpConfig:
             raise DimensionError(f"rough DGP needs p >= 3, got {self.p}")
         if self.T < 2:
             raise DimensionError(f"rough DGP needs T >= 2, got {self.T}")
-        if self.sigma2 < 0:
-            raise DomainError(f"noise variance must be nonnegative, got {self.sigma2}")
+        _check_scale("sigma2", self.sigma2)
 
 
 def gen_rough_signals(cfg: RoughDgpConfig, rng: Optional[np.random.Generator] = None):
@@ -175,14 +180,11 @@ class SmoothDgpConfig:
     def __post_init__(self):
         if self.K < 4:
             raise DimensionError(f"spline basis needs K >= 4, got {self.K}")
-        if not 0.0 <= self.theta_ar < 1.0:
-            raise DomainError(f"AR coefficient must lie in [0, 1), got {self.theta_ar}")
+        _check_ar1("AR coefficient", self.theta_ar, smooth=True)
         if self.p < 2 or self.T < 2:
             raise DimensionError("smooth DGP needs p >= 2 and T >= 2")
-        if not 0 <= self.sigma < np.inf:
-            raise DomainError(f"sigma must be finite and nonnegative, got {self.sigma}")
-        if not 0 <= self.signal_variance < np.inf:
-            raise DomainError(f"signal_variance must be finite and nonnegative, got {self.signal_variance}")
+        _check_scale("sigma", self.sigma)
+        _check_scale("signal_variance", self.signal_variance)
 
 
 def coefficient_variances(K: int, signal_variance: float) -> np.ndarray:
@@ -236,10 +238,8 @@ def gen_ar1_noise(p: int, T: int, theta_ar: float, sigma: float, seed_or_rng=Non
     All normals come from one (p, T) draw, in the order a column-by-column
     loop draws them, so the output is bit-identical to that loop.
     """
-    if not abs(theta_ar) < 1.0:
-        raise DomainError(f"AR coefficient must satisfy |theta| < 1, got {theta_ar}")
-    if sigma < 0:
-        raise DomainError(f"innovation scale must be nonnegative, got {sigma}")
+    _check_ar1("AR coefficient", theta_ar)
+    _check_scale("sigma", sigma)
     return _ar1_rows(np.random.default_rng(seed_or_rng).standard_normal((p, T)), theta_ar, sigma)
 
 
@@ -319,8 +319,7 @@ class SimSetting:
     def __post_init__(self):
         if self.p < 2 or self.T < 2:
             raise DimensionError(f"a setting needs p >= 2 and T >= 2, got p={self.p}, T={self.T}")
-        if not (np.isfinite(self.sigma2) and self.sigma2 >= 0):
-            raise DomainError(f"sigma2 must be finite and nonnegative, got {self.sigma2}")
+        _check_scale("sigma2", self.sigma2)
 
 
 @dataclass(frozen=True)
@@ -364,10 +363,7 @@ class SimulationSpec:
             raise DomainError("replications must be >= 1")
         if self.seed < 0:
             raise DomainError(f"seed must be nonnegative, got {self.seed}")
-        if not 0.0 <= self.cutoff < 1.0:
-            raise DomainError(f"cutoff must lie in [0, 1), got {self.cutoff}")
-        if self.thinning is not None and self.thinning < 1:
-            raise DomainError(f"thinning must be a positive integer, got {self.thinning}")
+        _check_selection(self.cutoff, self.thinning)
         if self.l_fixed < 1:
             raise DomainError(f"l_fixed (spec key 'l') must be >= 1, got {self.l_fixed}")
         if self.scree_l_max < 4:
@@ -376,15 +372,13 @@ class SimulationSpec:
             raise DimensionError(f"smooth_K must be >= 4 for the cubic spline basis, got {self.smooth_K}")
         if tuple(self.levels) != _LEVELS:
             raise DomainError(f"levels must be {_LEVELS}, got {tuple(self.levels)}")
-        for i, s in enumerate(self.settings):  # as SmoothDgpConfig and gen_ar1_noise check it
-            if not (0.0 <= s.theta_ar < 1.0 if self.dgp == "smooth" else abs(s.theta_ar) < 1.0):
-                domain = "lie in [0, 1) for the smooth DGP" if self.dgp == "smooth" else "satisfy |theta_ar| < 1"
-                raise DomainError(f"settings[{i}]: theta_ar must {domain}, got {s.theta_ar}")
-            if self.kind == "sse":  # only an sse study draws signals, and their config checks them
-                try:
+        for i, s in enumerate(self.settings):
+            try:
+                _check_ar1("theta_ar", s.theta_ar, smooth=self.dgp == "smooth")
+                if self.kind == "sse":  # only an sse study draws signals, and their config checks them
                     _signal_config(self, s)
-                except (DimensionError, DomainError) as exc:
-                    raise type(exc)(f"settings[{i}]: {exc}") from None
+            except (DimensionError, DomainError) as exc:
+                raise type(exc)(f"settings[{i}]: {exc}") from None
         for name in ("settings", "methods", "levels"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
 
@@ -458,7 +452,7 @@ def _run_sse_rep(spec, setting, normals):
                 out[method] = (sse_appr(signals, fit(observed, L).signals), float(L))
             else:
                 sel = _selection(setting.p, setting.T, spec.cutoff, spec.thinning)
-                l_max = min(spec.scree_l_max, min(setting.T - 1, setting.p))
+                l_max = min(spec.scree_l_max, _max_order(setting.T, setting.p))
                 _, suggestion, result = plateau_fit(observed, l_max, sel)
                 out[method] = (sse_appr(signals, result.signals), float(suggestion.L))
         except REPLICATION_ERRORS as exc:

@@ -565,6 +565,29 @@ class TestSimulateSpecValidation:
         assert code == 2 and message in err and out == ""
         assert calls == [] and not (tmp_path / "sim").exists()
 
+    @pytest.mark.parametrize("setting, message", [
+        ({"p": 1, "T": 40, "sigma2": 0.05}, "a setting needs p >= 2 and T >= 2, got p=1, T=40"),
+        ({"p": 20, "T": 40, "sigma2": -1}, "sigma2 must be finite and nonnegative, got -1.0"),
+    ], ids=["p-1", "sigma2-neg"])
+    def test_setting_fault_names_the_file_and_the_setting(
+            self, tmp_path, capsys, monkeypatch, setting, message):
+        calls = self.spy_runners(monkeypatch)
+        spec = {**self.BASE, "settings": [*self.BASE["settings"], setting]}
+        code, err, path, out = self.run(tmp_path, capsys, json.dumps(spec))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: settings[1]: {message}\n"
+        assert calls == [] and not (tmp_path / "sim").exists()
+
+    def test_negative_theta_ar_in_a_smooth_noise_test_study_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a noise-test study builds no signal config, so the spec's own check is the only one
+        calls = self.spy_runners(monkeypatch)
+        settings = [{"p": 20, "T": 40, "sigma2": 0.05, "theta_ar": -0.5}]
+        spec = {**self.BASE, "dgp": "smooth", "kind": "noise-test", "settings": settings}
+        code, err, _, out = self.run(tmp_path, capsys, json.dumps(spec))
+        assert (code, out) == (2, "")
+        assert err == "error: settings[0]: theta_ar must lie in [0, 1) for the smooth DGP, got -0.5\n"
+        assert calls == [] and not (tmp_path / "sim").exists()
+
     @pytest.mark.parametrize("fields, key", [
         ({"settings": []}, "settings"),
         ({"methods": []}, "methods"),

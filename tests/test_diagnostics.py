@@ -101,6 +101,12 @@ class TestFrequencySelection:
         with pytest.raises(SelectionError):
             select_frequencies(10, 0.9, 5)
 
+    @pytest.mark.parametrize("cutoff", [1.0, -0.1, float("nan")])
+    def test_cutoff_outside_zero_one_is_a_domain_error(self, cutoff):
+        # at cutoff 1 no frequency survives, but the cutoff, not the selection, is at fault
+        with pytest.raises(DomainError, match=rf"^cutoff must lie in \[0, 1\), got {cutoff}$"):
+            select_frequencies(20, cutoff, 1)
+
     def test_cutoff_boundary_is_strict(self):
         # everything at or below ceil(c*q) is dropped
         sel = select_frequencies(20, 0.1, 1)  # q = 10, ceil(1.0) = 1

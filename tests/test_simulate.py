@@ -227,6 +227,30 @@ class TestAr1Noise:
             gen_ar1_noise(10, 5, 0.5, -1.0, 0)
 
 
+class TestScaleRule:
+    """Every variance and standard deviation the generators read takes one rule and one text."""
+
+    ENTRY_POINTS = {
+        "SimSetting.sigma2": ("sigma2", lambda v: SimSetting(p=20, T=30, sigma2=v)),
+        "RoughDgpConfig.sigma2": ("sigma2", lambda v: RoughDgpConfig(p=20, T=30, sigma2=v)),
+        "SmoothDgpConfig.sigma": ("sigma", lambda v: SmoothDgpConfig(p=24, T=10, sigma=v)),
+        "SmoothDgpConfig.signal_variance":
+            ("signal_variance", lambda v: SmoothDgpConfig(p=24, T=10, sigma=1.0, signal_variance=v)),
+        "gen_ar1_noise.sigma": ("sigma", lambda v: gen_ar1_noise(4, 3, 0.0, v, 0)),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_scale_is_rejected_with_one_text(self, entry, value):
+        name, build = self.ENTRY_POINTS[entry]
+        with pytest.raises(DomainError, match=rf"^{name} must be finite and nonnegative, got {value}$"):
+            build(value)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_zero_scale_is_accepted(self, entry):
+        self.ENTRY_POINTS[entry][1](0.0)
+
+
 class TestAddNoiseAndMetric:
     def test_add_noise_identities(self):
         cfg = RoughDgpConfig(p=10, T=5, sigma2=0.0, seed=8)
@@ -373,6 +397,11 @@ class TestMonteCarloHarness:
     def test_theta_ar_inside_its_domain_is_accepted(self, dgp, theta_ar):
         spec = self.spec(dgp=dgp, settings=[SimSetting(p=20, T=30, sigma2=0.1, theta_ar=theta_ar)])
         assert spec.settings[0].theta_ar == theta_ar
+
+    def test_a_cutoff_of_one_is_a_spec_fault(self):
+        # no frequency survives it at any p, so it must not run as failed replications
+        with pytest.raises(DomainError, match=r"^cutoff must lie in \[0, 1\), got 1.0$"):
+            self.spec(cutoff=1.0)
 
     def test_only_the_summary_levels_are_accepted(self):
         assert self.spec(levels=[0.01, 0.05, 0.1]).levels == (0.01, 0.05, 0.10)
