@@ -35,7 +35,7 @@ import numpy as np
 from ._version import __version__
 from .curves import dense_trace, interpolate
 from .diagnostics import (
-    _covariance_to_correlation,
+    _correlation_rows,
     _selection,
     averaged_periodogram,
     iid_noise_test,
@@ -208,7 +208,7 @@ def _parse_window(expr, p):
         raise PanelFormatError(f"window must look like A:B, got {expr!r}") from None
     if not 1 <= lo <= hi <= p:
         raise DimensionError(f"window {expr} out of range 1:{p}")
-    return lo - 1, hi
+    return slice(lo - 1, hi)
 
 
 def _cmd_diagnose(args):
@@ -219,11 +219,8 @@ def _cmd_diagnose(args):
     h_max = min(args.hmax, residuals.p - 1)
     with np.errstate(over="ignore", invalid="ignore"):
         acvf, acf = residual_acf(residuals.values[args.curve - 1], h_max)
-        cov = residual_covariance(residuals)
-        if args.cols is not None:  # the correlation of the written block only
-            lo, hi = _parse_window(args.cols, residuals.p)
-            cov = cov[lo:hi, lo:hi]
-        corr, _ = _covariance_to_correlation(cov)
+        window = slice(None) if args.cols is None else _parse_window(args.cols, residuals.p)
+        cov = residual_covariance(residuals)[window, window]
         sel = _selection(residuals.p, residuals.T, args.cutoff, args.thin)
         xi = averaged_periodogram(residuals, sel)
     # NaN correlations of zero-variance columns are documented output, not a fault
@@ -233,7 +230,7 @@ def _cmd_diagnose(args):
     acf_col = acf.tolist() if acf is not None else [None] * (h_max + 1)
     files = {"acf.csv": (zip(range(h_max + 1), acvf.tolist(), acf_col), ["lag", "acvf", "acf"]),
              "covariance.csv": (cov, None),
-             "correlation.csv": (corr, None),
+             "correlation.csv": (_correlation_rows(cov), None),  # formed as written, of the window only
              "xi.csv": _xi_table(sel, xi)}
     params = {"curve": args.curve, "hmax": h_max, "cols": args.cols,
               "cutoff": args.cutoff, "thin": args.thin}

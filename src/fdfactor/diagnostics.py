@@ -106,9 +106,7 @@ def select_frequencies(p: int, cutoff: float = 0.1, thinning: int = 1) -> Freque
         raise DimensionError(f"frequency selection needs p >= 6, got {p}")
     _check_selection(cutoff, thinning)
     q = p // 2
-    first = int(np.ceil(cutoff * q)) + 1
-    idx = np.arange(first, q + 1)
-    idx = idx[(idx - first) % thinning == 0]
+    idx = np.arange(int(np.ceil(cutoff * q)) + 1, q + 1, thinning)
     if idx.size < 2:
         raise SelectionError(
             f"only {idx.size} frequencies retained (p={p}, cutoff={cutoff}, "
@@ -117,11 +115,11 @@ def select_frequencies(p: int, cutoff: float = 0.1, thinning: int = 1) -> Freque
     return FrequencySelection(p=p, cutoff=cutoff, thinning=thinning, indices=idx)
 
 
-def _check_selection(cutoff: float, thinning) -> None:
-    """Raise DomainError unless cutoff lies in [0, 1) and thinning, where not None (automatic), is >= 1."""
+def _check_selection(cutoff: float, thinning, automatic: bool = False) -> None:
+    """Raise DomainError unless cutoff is in [0, 1) and thinning an integer >= 1 (or None, where automatic)."""
     if not 0.0 <= cutoff < 1.0:
         raise DomainError(f"cutoff must lie in [0, 1), got {cutoff}")
-    if thinning is not None and thinning < 1:
+    if not (thinning is None and automatic or isinstance(thinning, (int, np.integer)) and thinning >= 1):
         raise DomainError(f"thinning must be a positive integer, got {thinning}")
 
 
@@ -309,19 +307,19 @@ def residual_correlation(residuals):
     Returns ``(corr, degenerate)`` where ``degenerate`` flags columns of
     zero variance; their correlation entries are set to NaN.
     """
-    return _covariance_to_correlation(residual_covariance(residuals))
+    C = residual_covariance(residuals)
+    return np.fromiter(_correlation_rows(C), (float, len(C)), len(C)), np.diag(C) == 0.0
 
 
-def _covariance_to_correlation(C):
-    """:func:`residual_correlation` from the covariance matrix ``C`` already built."""
+def _correlation_rows(C):
+    """Rows of C / outer(d, d), d = sqrt(diag C), one at a time; the diagonal 1, or NaN where d = 0."""
     d = np.sqrt(np.diag(C))
-    degenerate = d == 0.0
-    scale = np.where(degenerate, np.nan, d)
-    corr = np.empty_like(C)
-    for i in range(C.shape[0]):  # C / outer(scale, scale), one row at a time: no second p x p array
-        np.divide(C[i], scale[i] * scale, out=corr[i])
-    np.fill_diagonal(corr, np.where(degenerate, np.nan, 1.0))
-    return corr, degenerate
+    scale = np.where(d == 0.0, np.nan, d)
+    for i, row in enumerate(C):
+        with np.errstate(over="ignore", invalid="ignore"):
+            row = row / (scale[i] * scale)
+        row[i] = np.nan if d[i] == 0.0 else 1.0
+        yield row
 
 
 def ar1_spectral_density(theta_coef: float, sigma: float, theta: float) -> float:

@@ -98,8 +98,6 @@ class SampleGrid:
     @classmethod
     def midpoints(cls, p: int) -> "SampleGrid":
         """Equidistant midpoint grid s_i = (i - 0.5)/p, the default layout."""
-        if p < 2:
-            raise DimensionError("a grid needs at least two points")
         return cls((np.arange(1, p + 1) - 0.5) / p)
 
     @property

@@ -238,6 +238,8 @@ def gen_ar1_noise(p: int, T: int, theta_ar: float, sigma: float, seed_or_rng=Non
     All normals come from one (p, T) draw, in the order a column-by-column
     loop draws them, so the output is bit-identical to that loop.
     """
+    if not (p >= 1 and T >= 1):
+        raise DimensionError(f"AR(1) noise needs p >= 1 and T >= 1, got p={p}, T={T}")
     _check_ar1("AR coefficient", theta_ar)
     _check_scale("sigma", sigma)
     return _ar1_rows(np.random.default_rng(seed_or_rng).standard_normal((p, T)), theta_ar, sigma)
@@ -363,7 +365,7 @@ class SimulationSpec:
             raise DomainError("replications must be >= 1")
         if self.seed < 0:
             raise DomainError(f"seed must be nonnegative, got {self.seed}")
-        _check_selection(self.cutoff, self.thinning)
+        _check_selection(self.cutoff, self.thinning, automatic=True)
         if self.l_fixed < 1:
             raise DomainError(f"l_fixed (spec key 'l') must be >= 1, got {self.l_fixed}")
         if self.scree_l_max < 4:

@@ -64,6 +64,15 @@ class TestFitCommand:
         assert manifest["parameters"]["L"] == 2
         assert list((out).glob("manifest.json")) == [out / "manifest.json"]
 
+    def test_degenerate_gap_warning_goes_to_stderr(self, tmp_path, capsys):
+        # the rank-one panel of test_factor's test_degenerate_gap_warning: gamma_2 = gamma_3
+        data = tmp_path / "panel.csv"
+        write_plain_csv(data, np.outer(np.arange(6) - 2.5, np.ones(4)))
+        assert main(["fit", "--input", str(data), "--L", "2", "--out", str(tmp_path / "o")]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning: eigengap between kept and dropped eigenvalues ")
+        assert err.count("\n") == 1
+
     def test_invalid_order_exits_2(self, tmp_path, capsys):
         data = tmp_path / "panel.csv"
         write_plain_csv(data, np.random.default_rng(1).standard_normal((6, 8)))
@@ -216,6 +225,15 @@ class TestTestCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["f"] >= 2
 
+    def test_from_fit_directory_without_residuals_exits_2(self, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        out = tmp_path / "report"
+        assert main(["test", "--from-fit", str(empty), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: no residuals.csv under {empty}\n" and captured.out == ""
+        assert not out.exists()
+
     def test_xi_export(self, tmp_path, capsys):
         data = tmp_path / "resid.csv"
         write_plain_csv(data, np.random.default_rng(7).standard_normal((30, 40)))
@@ -310,13 +328,13 @@ class TestDiagnoseCommand:
     def test_correlation_is_built_for_the_window_only(self, tmp_path, monkeypatch):
         import fdfactor.cli as cli
 
-        shapes, build = [], cli._covariance_to_correlation
+        shapes, build = [], cli._correlation_rows
 
         def spy(C):
             shapes.append(C.shape)
             return build(C)
 
-        monkeypatch.setattr(cli, "_covariance_to_correlation", spy)
+        monkeypatch.setattr(cli, "_correlation_rows", spy)
         data = tmp_path / "resid.csv"
         write_plain_csv(data, np.random.default_rng(9).standard_normal((20, 60)))
         assert main(["diagnose", "--input", str(data), "--cols", "31:45",
@@ -377,6 +395,30 @@ class TestDiagnoseCommand:
         assert main(["diagnose", "--input", str(data), "--cols", "0:9",
                      "--out", str(tmp_path / "d")]) == 2
 
+    @pytest.mark.parametrize("cols", ["5", "a:b"])
+    def test_malformed_window_exits_2_before_the_covariance(self, tmp_path, capsys, monkeypatch, cols):
+        import fdfactor.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "residual_covariance", lambda *a: calls.append(a))
+        data = tmp_path / "resid.csv"
+        write_plain_csv(data, np.random.default_rng(10).standard_normal((10, 8)))
+        out = tmp_path / "d"
+        assert main(["diagnose", "--input", str(data), "--cols", cols, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: window must look like A:B, got {cols!r}\n"
+        assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("options, message", [
+        (["--curve", "11", "--cols", "5"], "curve index 11 out of range 1..10"),
+        (["--cols", "5", "--thin", "0"], "window must look like A:B, got '5'"),
+        (["--cols", "0:9", "--cutoff", "2"], "window 0:9 out of range 1:8"),
+    ], ids=["curve-before-cols", "cols-before-thin", "cols-before-cutoff"])
+    def test_faults_are_reported_in_option_order(self, tmp_path, capsys, options, message):
+        data = tmp_path / "resid.csv"
+        write_plain_csv(data, np.random.default_rng(10).standard_normal((10, 8)))
+        assert main(["diagnose", "--input", str(data), *options, "--out", str(tmp_path / "d")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_bad_curve_index_exits_2(self, tmp_path, capsys):
         data = tmp_path / "resid.csv"
         write_plain_csv(data, np.random.default_rng(11).standard_normal((10, 8)))
@@ -416,6 +458,18 @@ class TestSimulateCommand:
         assert main(["simulate", "--spec", str(spec), "--out", str(out2),
                      "--workers", "4"]) == 0
         assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
+
+    def test_write_summary_csv_matches_the_command(self, tmp_path, capsys):
+        from fdfactor import SimSetting, SimulationSpec, run_monte_carlo, write_summary_csv
+
+        spec = tmp_path / "spec.json"
+        self.write_spec(spec)
+        assert main(["simulate", "--spec", str(spec), "--out", str(tmp_path / "sim")]) == 0
+        summary = run_monte_carlo(SimulationSpec(
+            dgp="rough", kind="sse", settings=[SimSetting(p=20, T=40, sigma2=0.05)],
+            replications=10, seed=424242, methods=["pca"], l_policy="fixed", l_fixed=3))
+        write_summary_csv(summary, tmp_path / "library.csv")
+        assert (tmp_path / "library.csv").read_bytes() == (tmp_path / "sim" / "summary.csv").read_bytes()
 
     def test_derives_and_prints_seed_when_missing(self, tmp_path, capsys):
         spec = {
@@ -563,6 +617,17 @@ class TestSimulateSpecValidation:
         calls = self.spy_runners(monkeypatch)
         code, err, _, out = self.run(tmp_path, capsys, json.dumps({**self.BASE, **fields}))
         assert code == 2 and message in err and out == ""
+        assert calls == [] and not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"l_policy": "auto"}, "unknown L policy 'auto'"),
+        ({"replications": 0}, "replications must be >= 1"),
+    ], ids=["l_policy-auto", "replications-0"])
+    def test_study_fault_exits_2_before_the_seed_line(self, tmp_path, capsys, monkeypatch, fields, message):
+        calls = self.spy_runners(monkeypatch)
+        code, err, _, out = self.run(tmp_path, capsys, json.dumps({**self.BASE, **fields}))
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
         assert calls == [] and not (tmp_path / "sim").exists()
 
     @pytest.mark.parametrize("setting, message", [

@@ -28,7 +28,7 @@ from fdfactor import (
     residual_covariance,
     select_frequencies,
 )
-from fdfactor.diagnostics import _covariance_to_correlation
+from fdfactor.diagnostics import _correlation_rows
 
 
 def make_panel(values):
@@ -106,6 +106,15 @@ class TestFrequencySelection:
         # at cutoff 1 no frequency survives, but the cutoff, not the selection, is at fault
         with pytest.raises(DomainError, match=rf"^cutoff must lie in \[0, 1\), got {cutoff}$"):
             select_frequencies(20, cutoff, 1)
+
+    @pytest.mark.parametrize("thinning", [2.5, 2.0, None, 0])
+    def test_thinning_must_be_a_positive_integer(self, thinning):
+        # a float used to thin by a float modulo (2.5 kept [2, 7]) and None ended in a TypeError
+        with pytest.raises(DomainError, match=rf"^thinning must be a positive integer, got {thinning}$"):
+            select_frequencies(20, 0.1, thinning)
+
+    def test_numpy_integer_thinning_is_valid(self):
+        assert select_frequencies(20, 0.1, np.int64(2)).indices.tolist() == [2, 4, 6, 8, 10]
 
     def test_cutoff_boundary_is_strict(self):
         # everything at or below ceil(c*q) is dropped
@@ -378,7 +387,7 @@ class TestResidualCovariance:
         C = residual_covariance(np.random.default_rng(8).standard_normal((30, 400)))
         tracemalloc.start()
         try:
-            _covariance_to_correlation(C)
+            np.fromiter(_correlation_rows(C), (float, len(C)), len(C))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -393,7 +402,7 @@ class TestResidualCovariance:
         scale = np.where(degenerate, np.nan, d)
         expected = C / np.outer(scale, scale)
         np.fill_diagonal(expected, np.where(degenerate, np.nan, 1.0))
-        corr, flags = _covariance_to_correlation(C)
+        corr, flags = residual_correlation(values)
         assert corr.tobytes() == expected.tobytes()
         assert flags.tolist() == [j == 4 for j in range(9)]
 

@@ -55,6 +55,11 @@ class TestSampleGrid:
         with pytest.raises(DimensionError):
             SampleGrid(np.array([0.5]))
 
+    @pytest.mark.parametrize("p", [1, 0, -1])
+    def test_midpoints_need_two_points(self, p):
+        with pytest.raises(DimensionError, match="^a grid needs at least two points$"):
+            SampleGrid.midpoints(p)
+
     def test_immutable(self):
         g = SampleGrid.midpoints(4)
         with pytest.raises(ValueError):

@@ -227,6 +227,12 @@ class TestAr1Noise:
             gen_ar1_noise(10, 5, 0.5, -1.0, 0)
 
 
+    @pytest.mark.parametrize("p, T", [(0, 3), (3, -1), (-1, 3), (3, 0)])
+    def test_sizes_below_one_are_a_dimension_error(self, p, T):
+        with pytest.raises(DimensionError, match=rf"^AR\(1\) noise needs p >= 1 and T >= 1, got p={p}, T={T}$"):
+            gen_ar1_noise(p, T, 0.0, 1.0, 0)
+
+
 class TestScaleRule:
     """Every variance and standard deviation the generators read takes one rule and one text."""
 
@@ -402,6 +408,12 @@ class TestMonteCarloHarness:
         # no frequency survives it at any p, so it must not run as failed replications
         with pytest.raises(DomainError, match=r"^cutoff must lie in \[0, 1\), got 1.0$"):
             self.spec(cutoff=1.0)
+
+    def test_thinning_is_an_integer_or_automatic(self):
+        assert self.spec(thinning=None).thinning is None
+        assert self.spec(thinning=np.int64(2)).thinning == 2
+        with pytest.raises(DomainError, match=r"^thinning must be a positive integer, got 2.5$"):
+            self.spec(thinning=2.5)
 
     def test_only_the_summary_levels_are_accepted(self):
         assert self.spec(levels=[0.01, 0.05, 0.1]).levels == (0.01, 0.05, 0.10)
