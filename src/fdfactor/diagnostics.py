@@ -12,6 +12,7 @@ cutoff removes them, and thinning keeps f/T small.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,13 +24,17 @@ from .errors import (
     DomainError,
     SelectionError,
 )
-from .panel import ObservationPanel, _readonly, _require_finite
+from .panel import ObservationPanel, _is_count, _readonly, _require_finite
 
 
 def _as_values(residuals) -> np.ndarray:
+    """A panel's values, or the residuals as a 2-d (T, p) float array; DimensionError for any other shape."""
     if isinstance(residuals, ObservationPanel):
         return residuals.values
-    return np.asarray(residuals, dtype=float)
+    values = np.asarray(residuals, dtype=float)
+    if values.ndim != 2:
+        raise DimensionError(f"residuals must be a 2-d (T, p) array, got {values.ndim}-d")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +107,8 @@ def select_frequencies(p: int, cutoff: float = 0.1, thinning: int = 1) -> Freque
     SelectionError
         If fewer than two frequencies survive.
     """
-    if p < 6:
-        raise DimensionError(f"frequency selection needs p >= 6, got {p}")
+    if not (_is_count(p) and p >= 6):
+        raise DimensionError(f"frequency selection needs an integer p >= 6, got {p}")
     _check_selection(cutoff, thinning)
     q = p // 2
     idx = np.arange(int(np.ceil(cutoff * q)) + 1, q + 1, thinning)
@@ -115,18 +120,19 @@ def select_frequencies(p: int, cutoff: float = 0.1, thinning: int = 1) -> Freque
     return FrequencySelection(p=p, cutoff=cutoff, thinning=thinning, indices=idx)
 
 
-def _check_selection(cutoff: float, thinning, automatic: bool = False) -> None:
-    """Raise DomainError unless cutoff is in [0, 1) and thinning an integer >= 1 (or None, where automatic)."""
+def _check_selection(cutoff: float, thinning) -> None:
+    """Raise DomainError unless cutoff is in [0, 1) and thinning an integer >= 1."""
     if not 0.0 <= cutoff < 1.0:
         raise DomainError(f"cutoff must lie in [0, 1), got {cutoff}")
-    if not (thinning is None and automatic or isinstance(thinning, (int, np.integer)) and thinning >= 1):
+    if not (_is_count(thinning) and thinning >= 1):
         raise DomainError(f"thinning must be a positive integer, got {thinning}")
 
 
 def auto_thinning(p: int, T: int, cutoff: float = 0.1, max_ratio: float = 0.3) -> int:
     """Smallest thinning m for which the retained count satisfies f/T <= max_ratio."""
-    q = p // 2
-    for m in range(1, q + 1):
+    if not (_is_count(T) and T >= 1):
+        raise DimensionError(f"automatic thinning needs an integer T >= 1, got {T}")
+    for m in itertools.count(1):  # by m = p // 2 at most one frequency is left
         try:
             sel = select_frequencies(p, cutoff, m)
         except SelectionError:
@@ -176,7 +182,7 @@ def gasser_variance(residuals) -> float:
     which is exactly zero for rows that are affine in the column index.
     """
     values = _as_values(residuals)
-    if values.ndim != 2 or values.shape[1] < 3:
+    if values.shape[1] < 3:
         raise DimensionError("the second-difference estimator needs p >= 3")
     d2 = _second_differences(values)
     return float(np.mean(np.sum(d2**2, axis=1) / (6.0 * d2.shape[1])))
@@ -368,7 +374,7 @@ def chi2_upper_tail(x: float, dof: int) -> float:
     over i = 1/2, 3/2, ..., (dof-2)/2 for odd dof.  Each term is taken in log
     space, so none under- or overflows at large x or dof.
     """
-    if not isinstance(dof, (int, np.integer)) or dof < 1:
+    if not (_is_count(dof) and dof >= 1):
         raise DomainError(f"degrees of freedom must be a positive integer, got {dof}")
     y = x / 2.0
     if y <= 0.0:  # also an x so small that its half rounds to zero

@@ -25,7 +25,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import DimensionError, OrderError
-from .panel import MeanVector, ObservationPanel, SampleGrid, _frozen, _readonly, _write_files, load_panel
+from .panel import MeanVector, ObservationPanel, SampleGrid, _frozen, _is_count, _readonly, _write_files, load_panel
 from .spectral import _CenteredSpectrum, _centered_eigh
 
 #: relative eigengap below which a fit gets a degeneracy warning attached
@@ -114,7 +114,7 @@ def fit(panel: ObservationPanel, L: int) -> FactorFit:
     orthonormalizing the mapped columns Z V_L.
     """
     bound = _max_order(panel.T, panel.p)
-    if not isinstance(L, (int, np.integer)) or not 1 <= L <= bound:
+    if not (_is_count(L) and 1 <= L <= bound):
         raise OrderError(f"factor order must satisfy 1 <= L <= min(T-1, p) = {bound}, got {L}")
     return _fit_spectrum(panel, _centered_eigh(panel.values), L)
 

@@ -62,6 +62,11 @@ def _require_finite(values, quantity: str, source: str) -> None:
         raise NumericalError(f"{quantity} is not finite; {source} too large for the float range")
 
 
+def _is_count(n) -> bool:
+    """True for a Python or numpy integer; a bool is not a count."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 def _reject_cells(bad: np.ndarray, fault: str = "non-finite value at row {r}, column {c}") -> None:
     """Raise PanelFormatError naming the first flagged cell of a table, in row order."""
     if bad.any():
@@ -98,6 +103,8 @@ class SampleGrid:
     @classmethod
     def midpoints(cls, p: int) -> "SampleGrid":
         """Equidistant midpoint grid s_i = (i - 0.5)/p, the default layout."""
+        if not _is_count(p):
+            raise DimensionError(f"a midpoint grid needs an integer number of points, got {p}")
         return cls((np.arange(1, p + 1) - 0.5) / p)
 
     @property

@@ -29,7 +29,7 @@ from .diagnostics import _check_ar1, _check_selection, _selection, iid_noise_tes
 from .errors import DimensionError, DomainError, NumericalError, OrderError, SelectionError
 from .factor import _max_order, fit
 from .order import plateau_fit
-from .panel import ObservationPanel, SampleGrid, _frozen, _write_rows
+from .panel import ObservationPanel, SampleGrid, _frozen, _require_finite, _write_rows
 
 #: pinned random-number recipe, recorded in manifests so that
 #: reimplementations can document divergence
@@ -104,11 +104,12 @@ def gen_rough_signals(cfg: RoughDgpConfig, rng: Optional[np.random.Generator] = 
     ``ROUGH_SCORE_SCALES``.
     """
     rng = np.random.default_rng(cfg.seed if rng is None else rng)
-    return _rough_signals(cfg, rng.standard_normal((cfg.T, 3)))
+    return _rough_signals(cfg.p, rng.standard_normal((cfg.T, 3)))
 
 
-def _rough_signals(cfg: RoughDgpConfig, normals: np.ndarray):
-    grid, basis = _midpoint_design(cfg.p)
+def _rough_signals(p: int, normals: np.ndarray):
+    """:func:`gen_rough_signals` on p midpoints from its (T, 3) standard normals; reads p and the normals only."""
+    grid, basis = _midpoint_design(p)
     scores = normals * np.asarray(ROUGH_SCORE_SCALES)
     return ObservationPanel(_frozen(scores @ basis), grid), scores
 
@@ -185,6 +186,9 @@ class SmoothDgpConfig:
             raise DimensionError("smooth DGP needs p >= 2 and T >= 2")
         _check_scale("sigma", self.sigma)
         _check_scale("signal_variance", self.signal_variance)
+        if float(self.signal_variance) / _quadrature_variance(self.K) == np.inf:  # Python floats: no warning
+            raise DomainError(f"signal_variance must keep the K={self.K} coefficient variances "
+                              f"within the float range, got {self.signal_variance}")
 
 
 def coefficient_variances(K: int, signal_variance: float) -> np.ndarray:
@@ -214,13 +218,14 @@ def _quadrature_variance(K: int) -> float:
 def gen_spline_signals(cfg: SmoothDgpConfig, rng: Optional[np.random.Generator] = None) -> ObservationPanel:
     """Smooth signals X_t(s_i) = sum_k c_{tk} B_k(s_i) on the midpoint grid."""
     rng = np.random.default_rng(cfg.seed if rng is None else rng)
-    return _spline_signals(cfg, rng.standard_normal((cfg.T, cfg.K)))
+    return _spline_signals(cfg.p, cfg.K, cfg.signal_variance, rng.standard_normal((cfg.T, cfg.K)))
 
 
-def _spline_signals(cfg: SmoothDgpConfig, normals: np.ndarray) -> ObservationPanel:
-    grid = _midpoint_design(cfg.p)[0]
-    B = _spline_design(cfg.K, grid.points.tobytes())
-    sd = np.sqrt(coefficient_variances(cfg.K, cfg.signal_variance))
+def _spline_signals(p: int, K: int, signal_variance: float, normals: np.ndarray) -> ObservationPanel:
+    """:func:`gen_spline_signals` from its (T, K) standard normals; reads p, K, signal_variance and the normals only."""
+    grid = _midpoint_design(p)[0]
+    B = _spline_design(K, grid.points.tobytes())
+    sd = np.sqrt(coefficient_variances(K, signal_variance))
     coef = normals * sd
     return ObservationPanel(_frozen(coef @ B.T), grid)
 
@@ -265,12 +270,15 @@ def add_noise(signals: ObservationPanel, noise) -> ObservationPanel:
 
 
 def sse_appr(truth, estimate) -> float:
-    """Mean squared error (1/pT) sum_{t,i} (X_{ti} - Xhat_{ti})^2."""
+    """Mean squared error (1/pT) sum_{t,i} (X_{ti} - Xhat_{ti})^2; NumericalError if it overflows."""
     a = np.asarray(getattr(truth, "values", truth), dtype=float)
     b = np.asarray(getattr(estimate, "values", estimate), dtype=float)
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch {a.shape} vs {b.shape}")
-    return float(np.mean((a - b) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = float(np.mean((a - b) ** 2))
+    _require_finite(err, "approximation error", "the signals or the estimate are")
+    return err
 
 
 def bspline_ls_fit(panel: ObservationPanel, K: int) -> ObservationPanel:
@@ -365,7 +373,7 @@ class SimulationSpec:
             raise DomainError("replications must be >= 1")
         if self.seed < 0:
             raise DomainError(f"seed must be nonnegative, got {self.seed}")
-        _check_selection(self.cutoff, self.thinning, automatic=True)
+        _check_selection(self.cutoff, 1 if self.thinning is None else self.thinning)  # None: automatic
         if self.l_fixed < 1:
             raise DomainError(f"l_fixed (spec key 'l') must be >= 1, got {self.l_fixed}")
         if self.scree_l_max < 4:
@@ -377,8 +385,9 @@ class SimulationSpec:
         for i, s in enumerate(self.settings):
             try:
                 _check_ar1("theta_ar", s.theta_ar, smooth=self.dgp == "smooth")
-                if self.kind == "sse":  # only an sse study draws signals, and their config checks them
-                    _signal_config(self, s)
+                if self.kind == "sse":  # only an sse study draws signals, and building their config checks them
+                    (RoughDgpConfig(s.p, s.T, s.sigma2) if self.dgp == "rough" else
+                     SmoothDgpConfig(s.p, s.T, float(np.sqrt(s.sigma2)), s.theta_ar, self.smooth_K, self.signal_variance))
             except (DimensionError, DomainError) as exc:
                 raise type(exc)(f"settings[{i}]: {exc}") from None
         for name in ("settings", "methods", "levels"):
@@ -417,14 +426,6 @@ class SimulationSummary:
     blas_threads_per_worker: Optional[int] = None  # None: the BLAS kept its own thread count
 
 
-def _signal_config(spec: SimulationSpec, setting: SimSetting):
-    """The DGP config of an sse replication's signals; building it checks them."""
-    if spec.dgp == "rough":
-        return RoughDgpConfig(p=setting.p, T=setting.T, sigma2=setting.sigma2)
-    return SmoothDgpConfig(p=setting.p, T=setting.T, sigma=float(np.sqrt(setting.sigma2)),
-                           theta_ar=setting.theta_ar, K=spec.smooth_K, signal_variance=spec.signal_variance)
-
-
 def _normals(spec: SimulationSpec, si: int, ri: int):
     """A replication's stream and empty arrays, on the calling thread's heap, for its normals in draw order."""
     setting = spec.settings[si]
@@ -438,10 +439,9 @@ def _fill(rng: np.random.Generator, arrays: list) -> list:  # on the helper thre
     return arrays
 
 
-def _run_sse_rep(spec, setting, normals):
-    cfg = _signal_config(spec, setting)  # each array popped as it is used, and no name keeps the noise
-    signals = (_rough_signals(cfg, normals.pop(0))[0] if spec.dgp == "rough"
-               else _spline_signals(cfg, normals.pop(0)))
+def _run_sse_rep(spec, setting, normals):  # each array popped as it is used, and no name keeps the noise
+    signals = (_rough_signals(setting.p, normals.pop(0))[0] if spec.dgp == "rough"
+               else _spline_signals(setting.p, spec.smooth_K, spec.signal_variance, normals.pop(0)))
     observed = add_noise(signals, _ar1_rows(normals.pop(), setting.theta_ar, float(np.sqrt(setting.sigma2))))
     out = {}
     for method in spec.methods:

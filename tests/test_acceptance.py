@@ -6,6 +6,7 @@ Run with ``pytest tests/test_acceptance.py -v -s``.
 import cmath
 
 import numpy as np
+import pytest
 
 from fdfactor import (
     ObservationPanel,
@@ -15,6 +16,7 @@ from fdfactor import (
     SimulationSpec,
     StepFunction,
     add_noise,
+    align_sign,
     bspline_ls_fit,
     chi2_upper_tail,
     eigenfunction_estimate,
@@ -27,11 +29,12 @@ from fdfactor import (
     inner_product,
     l2_distance,
     periodogram,
+    rough_components,
     run_monte_carlo,
     select_frequencies,
     sse_appr,
 )
-from fdfactor.simulate import summary_rows
+from fdfactor.simulate import ROUGH_SCORE_SCALES, summary_rows
 
 JUMP_TARGET = StepFunction(
     SampleGrid(np.array([0.0, 1.0 / 3.0])), np.array([0.0, np.sqrt(1.5)])
@@ -282,3 +285,63 @@ def test_c10_determinism_across_schedules():
     rows_threads = summary_rows(run_monte_carlo(spec, workers=4))
     ok = rows_serial == rows_again == rows_threads
     assert verdict(10, "identical seeds give bit-identical summaries at any worker count", ok)
+
+
+def rough_kernel_eigenpairs():
+    """Eigenvalues and eigenfunctions of the rough kernel K(s, t) = sum_k sigma_k^2 phi_k(s) phi_k(t).
+
+    With D = diag(sigma_k^2) and G the Gram matrix of the three components
+    (a 200,000-point midpoint quadrature), the eigenpairs (mu_l, w_l) of
+    D^{1/2} G D^{1/2} give the kernel's: eigenvalue mu_l and eigenfunction
+    psi_l = sum_j phi_j (D^{1/2} w_l)_j / sqrt(mu_l), of unit L2 norm.
+    """
+    s = (np.arange(200_000) + 0.5) / 200_000
+    phi = rough_components(s)
+    half = np.diag(ROUGH_SCORE_SCALES)
+    mu, W = np.linalg.eigh(half @ (phi @ phi.T / s.size) @ half)
+    mu, W = mu[::-1], W[:, ::-1]
+    coef = half @ W / np.sqrt(mu)
+    return mu, lambda x: coef.T @ rough_components(x)
+
+
+@pytest.mark.parametrize("p, T, seed", [(365, 200, 51011), (70, 400, 51012)], ids=["T<p", "T>p"])
+def test_c11_rough_eigenpairs_against_the_true_kernel(p, T, seed):
+    """Eigenvalues and eigenfunctions 1-3 of the raw panel against the rough kernel's, at sigma^2 = 0.05.
+
+    Shapes, seeds, the 20 replications and both bounds were fixed before
+    the first run.  T < p takes the QR-mapped path of empirical_eigensystem.
+
+    Eigenvalues: with Gaussian scores sqrt(T)(mu_hat - mu)/mu -> N(0, 2)
+    (Anderson 1963), so the median relative error of one replication is
+    about 0.6745 sqrt(2/T).  The bound doubles it: the median of 20
+    replications spreads by about a quarter of its value, and the O(1/T)
+    repulsion of mu_2 and mu_3 and the noise shift sigma^2/p add a few percent.
+
+    Eigenfunctions: to first order the squared L2 error has mean
+    (1/T) [sum_{j != l} mu_j mu_l / (mu_l - mu_j)^2 + sigma^2 / mu_l], the
+    last term from the p - 3 noise directions of kernel eigenvalue sigma^2/p.
+    The median of an L2 error lies below this root mean square (near it for
+    l = 1, whose error spreads over many directions); the bound is 1.5 times
+    it, leaving room for the grid's O(1/p) discretization of the jump.
+    """
+    sigma2, reps = 0.05, 20
+    mu, psi = rough_kernel_eigenpairs()
+    rng = np.random.default_rng(seed)
+    grid = SampleGrid.midpoints(p)
+    truth = [StepFunction(grid, levels) for levels in psi(grid.points)]
+    rel, l2 = [], []
+    for _ in range(reps):
+        _, observed = rough_observed(p, T, sigma2, rng)
+        system = empirical_eigensystem(observed)
+        rel.append(np.abs(system.kernel_eigenvalues[:3] / mu - 1.0))
+        l2.append([l2_distance(align_sign(eigenfunction_estimate(system, l + 1), truth[l]), truth[l])
+                   for l in range(3)])
+    rel, l2 = np.median(rel, axis=0), np.median(l2, axis=0)
+    lam_bound = 2.0 * 0.6745 * np.sqrt(2.0 / T)
+    spread = [sum(mu[j] * mu[l] / (mu[l] - mu[j]) ** 2 for j in range(3) if j != l) + sigma2 / mu[l]
+              for l in range(3)]
+    psi_bound = 1.5 * np.sqrt(np.array(spread) / T)
+    ok = bool(np.all(rel <= lam_bound) and np.all(l2 <= psi_bound))
+    assert verdict(11, f"eigenpairs 1-3 of the rough kernel recovered at (p, T) = ({p}, {T})", ok,
+                   f"eigenvalue rel. errors {np.round(rel, 3).tolist()} <= {lam_bound:.3f}; "
+                   f"eigenfunction L2 errors {np.round(l2, 3).tolist()} <= {np.round(psi_bound, 3).tolist()}")

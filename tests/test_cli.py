@@ -675,6 +675,17 @@ class TestSimulateSpecValidation:
         assert err == "error: settings[0]: signal_variance must be finite and nonnegative, got inf\n"
         assert calls == [] and not (tmp_path / "sim").exists()
 
+    def test_signal_variance_overflowing_the_coefficient_variances_exits_2_naming_it(
+            self, tmp_path, capsys, monkeypatch):
+        # finite, but over _quadrature_variance(8) it overflows: the panel's non-finite cell used to escape
+        calls = self.spy_runners(monkeypatch)
+        text = json.dumps({**self.BASE, "dgp": "smooth", "smooth_K": 8, "signal_variance": 1e308})
+        code, err, _, out = self.run(tmp_path, capsys, text)
+        assert (code, out) == (2, "")
+        assert err == ("error: settings[0]: signal_variance must keep the K=8 coefficient variances "
+                       "within the float range, got 1e+308\n")
+        assert calls == [] and not (tmp_path / "sim").exists()
+
     def test_smooth_k_below_four_is_named_once_for_the_whole_spec(self, tmp_path, capsys):
         settings = [{"p": 20, "T": 40, "sigma2": 0.05}, {"p": 30, "T": 40, "sigma2": 0.05}]
         text = json.dumps({**self.BASE, "dgp": "smooth", "settings": settings, "smooth_K": 3})

@@ -12,12 +12,14 @@ from fdfactor import (
     DimensionError,
     DomainError,
     ObservationPanel,
+    OrderError,
     SampleGrid,
     SelectionError,
     ar1_spectral_density,
     auto_thinning,
     averaged_periodogram,
     chi2_upper_tail,
+    fit,
     gasser_variance,
     gen_ar1_noise,
     iid_noise_test,
@@ -205,6 +207,56 @@ class TestGasserVariance:
     def test_needs_three_columns(self):
         with pytest.raises(DimensionError):
             gasser_variance(make_panel(np.zeros((3, 2))))
+
+
+class TestResidualShape:
+    SEL = select_frequencies(6, 0.0, 1)
+    ENTRY_POINTS = {
+        "residual_covariance": residual_covariance,
+        "residual_correlation": residual_correlation,
+        "iid_noise_test": lambda u: iid_noise_test(u, TestResidualShape.SEL),
+        "averaged_periodogram": lambda u: averaged_periodogram(u, TestResidualShape.SEL),
+        "gasser_variance": gasser_variance,
+    }
+
+    @pytest.mark.parametrize("shape", [(), (6,), (2, 3, 6)], ids=["0-d", "1-d", "3-d"])
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_residuals_that_are_not_2d_are_a_dimension_error(self, entry, shape):
+        # a 1-d input gave a 0-d covariance, a TypeError or an IndexError; a 3-d one numpy's matmul error
+        values = np.arange(float(np.prod(shape))).reshape(shape)
+        with pytest.raises(DimensionError, match=rf"^residuals must be a 2-d \(T, p\) array, got {len(shape)}-d$"):
+            self.ENTRY_POINTS[entry](values)
+
+
+class TestIntegerArguments:
+    PANEL = ObservationPanel(np.random.default_rng(3).standard_normal((10, 8)), SampleGrid.midpoints(8))
+    CASES = {
+        "midpoints-2.5": (lambda: SampleGrid.midpoints(2.5), DimensionError, "a midpoint grid needs an integer"),
+        "midpoints-True": (lambda: SampleGrid.midpoints(True), DimensionError, "a midpoint grid needs an integer"),
+        "select-p-20.0": (lambda: select_frequencies(20.0, 0.1, 1), DimensionError,
+                          "frequency selection needs an integer p >= 6, got 20.0"),
+        "select-thinning-True": (lambda: select_frequencies(20, 0.1, True), DomainError,
+                                 "thinning must be a positive integer, got True"),
+        "fit-L-True": (lambda: fit(TestIntegerArguments.PANEL, True), OrderError,
+                       r"factor order must satisfy 1 <= L <= min\(T-1, p\) = 8, got True"),
+        "auto-T-0": (lambda: auto_thinning(20, 0), DimensionError, "automatic thinning needs an integer T >= 1, got 0"),
+        "auto-T--1": (lambda: auto_thinning(20, -1), DimensionError, "automatic thinning needs an integer T >= 1, got -1"),
+        "auto-T-True": (lambda: auto_thinning(20, True), DimensionError, "automatic thinning needs an integer T >= 1"),
+        "auto-p-20.0": (lambda: auto_thinning(20.0, 40), DimensionError, "frequency selection needs an integer p"),
+        "chi2-dof-True": (lambda: chi2_upper_tail(1.0, True), DomainError, "degrees of freedom must be a positive"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_a_non_integer_or_bool_count_raises_the_neighbouring_error(self, case):
+        call, error, message = self.CASES[case]
+        with pytest.raises(error, match=f"^{message}"):
+            call()
+
+    def test_numpy_integers_are_counts(self):
+        assert SampleGrid.midpoints(np.int64(4)).p == 4
+        assert select_frequencies(np.int32(20), 0.1, 1).p == 20
+        assert auto_thinning(20, np.int64(40)) == auto_thinning(20, 40)
+        assert fit(self.PANEL, np.int64(2)).order == 2
 
 
 def noise_test_formula(values, sel, sigma2=None):

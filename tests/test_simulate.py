@@ -186,6 +186,14 @@ class TestSmoothDgp:
         with pytest.raises(DimensionError):
             SmoothDgpConfig(p=24, T=10, sigma=1.0, K=3)
 
+    def test_signal_variance_must_keep_the_coefficient_variances_finite(self):
+        # 1e308 / _quadrature_variance(8) overflows: the spline signals were NaN, and the panel rejected them
+        with pytest.raises(DomainError, match=r"^signal_variance must keep the K=8 coefficient variances "
+                                              r"within the float range, got 1e\+308$"):
+            SmoothDgpConfig(p=24, T=10, sigma=1.0, K=8, signal_variance=1e308)
+        assert np.all(np.isfinite(gen_spline_signals(SmoothDgpConfig(p=24, T=10, sigma=1.0, K=8,
+                                                                     signal_variance=1e300, seed=1)).values))
+
     @pytest.mark.parametrize("field", ["sigma", "signal_variance"])
     @pytest.mark.parametrize("value", [float("inf"), float("nan"), -1.0])
     def test_scales_must_be_finite_and_nonnegative(self, field, value):
@@ -277,6 +285,10 @@ class TestAddNoiseAndMetric:
         a = np.random.default_rng(10).standard_normal((4, 6))
         assert sse_appr(a, a) == 0.0
         assert sse_appr(a, a + 0.5) == pytest.approx(0.25, abs=1e-12)
+
+    def test_sse_overflow_is_a_numerical_error(self):
+        with pytest.raises(NumericalError, match="^approximation error is not finite"):
+            sse_appr(np.zeros((2, 3)), np.full((2, 3), 1e200))
 
     def test_sse_shape_mismatch(self):
         with pytest.raises(DimensionError):
@@ -414,6 +426,12 @@ class TestMonteCarloHarness:
         assert self.spec(thinning=np.int64(2)).thinning == 2
         with pytest.raises(DomainError, match=r"^thinning must be a positive integer, got 2.5$"):
             self.spec(thinning=2.5)
+
+    def test_an_overflowing_error_counts_as_a_numerical_error(self):
+        # at sigma2 = 1e308 the bspline error overflowed to inf and was recorded as a success
+        spec = self.spec(settings=[SimSetting(p=20, T=30, sigma2=1e308)], methods=("pca", "bspline"), replications=3)
+        for row in run_monte_carlo(spec).results:
+            assert (row.failures, row.failure_causes, row.sse_median) == (3, {"NumericalError": 3}, None)
 
     def test_only_the_summary_levels_are_accepted(self):
         assert self.spec(levels=[0.01, 0.05, 0.1]).levels == (0.01, 0.05, 0.10)
@@ -703,13 +721,15 @@ class TestDrawnAhead:
             arrays = simulate._fill(*simulate._normals(spec, 0, ri))
             rng = replication_rng(spec.seed, 0, ri)  # the same stream, drawn inline by the public generators
             if spec.kind == "sse":
-                cfg = simulate._signal_config(spec, setting)
                 if spec.dgp == "rough":
-                    signals, scores = gen_rough_signals(cfg, rng)
-                    core, core_scores = simulate._rough_signals(cfg, arrays[0].copy())
+                    signals, scores = gen_rough_signals(RoughDgpConfig(p=setting.p, T=setting.T, sigma2=setting.sigma2), rng)
+                    core, core_scores = simulate._rough_signals(setting.p, arrays[0].copy())
                     assert np.array_equal(core_scores, scores)
                 else:
-                    signals, core = gen_spline_signals(cfg, rng), simulate._spline_signals(cfg, arrays[0].copy())
+                    cfg = SmoothDgpConfig(p=setting.p, T=setting.T, sigma=ar1[1], theta_ar=setting.theta_ar,
+                                          K=spec.smooth_K, signal_variance=spec.signal_variance)
+                    signals = gen_spline_signals(cfg, rng)
+                    core = simulate._spline_signals(setting.p, spec.smooth_K, spec.signal_variance, arrays[0].copy())
                 assert np.array_equal(core.values, signals.values)
             noise = gen_ar1_noise(setting.p, setting.T, *ar1, rng)
             assert np.array_equal(simulate._ar1_rows(arrays[-1].copy(), *ar1), noise)
