@@ -343,8 +343,8 @@ _OPTIONS = {
     "--hmax": (int, 40, "largest acf lag"),
     "--cols": (str, None, "restrict covariance/correlation to columns A:B (1-based)"),
     "--spec": (str, None, "JSON study spec"),
-    "--workers": (int, None, "replication threads, each on one BLAS thread with a helper drawing "
-                             "normals ahead, at least 1 (default 1)"),
+    "--workers": (int, None, "replication threads, the calling one included, each on one BLAS thread "
+                             "with its normals drawn ahead, at least 1 (default 1)"),
 }
 #: command -> (help; the options it always reads, "!" marking a required one;
 #: mode flag -> the options that mode reads besides, where exactly one is given)

@@ -289,7 +289,7 @@ def residual_acf(u, h_max: int):
     if u.ndim != 1:
         raise DimensionError("acf input must be a single residual row")
     p = u.size
-    if not 0 <= h_max <= p - 1:
+    if not (_is_count(h_max) and 0 <= h_max <= p - 1):
         raise DimensionError(f"h_max must lie in [0, {p - 1}], got {h_max}")
     d = u - u.mean()
     acvf = np.array([np.dot(d[h:], d[: p - h]) / p for h in range(h_max + 1)])

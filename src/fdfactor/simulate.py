@@ -17,6 +17,7 @@ so results are reproducible bit for bit regardless of scheduling.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import ctypes
 from dataclasses import dataclass
 from functools import lru_cache
@@ -29,7 +30,7 @@ from .diagnostics import _check_ar1, _check_selection, _selection, iid_noise_tes
 from .errors import DimensionError, DomainError, NumericalError, OrderError, SelectionError
 from .factor import _max_order, fit
 from .order import plateau_fit
-from .panel import ObservationPanel, SampleGrid, _frozen, _require_finite, _write_rows
+from .panel import ObservationPanel, SampleGrid, _frozen, _is_count, _require_finite, _write_rows
 
 #: pinned random-number recipe, recorded in manifests so that
 #: reimplementations can document divergence
@@ -89,9 +90,9 @@ class RoughDgpConfig:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.p < 3:
+        if not (_is_count(self.p) and self.p >= 3):
             raise DimensionError(f"rough DGP needs p >= 3, got {self.p}")
-        if self.T < 2:
+        if not (_is_count(self.T) and self.T >= 2):
             raise DimensionError(f"rough DGP needs T >= 2, got {self.T}")
         _check_scale("sigma2", self.sigma2)
 
@@ -136,7 +137,7 @@ def bspline_basis(K: int, s):
     points.  The K functions are nonnegative and sum to one everywhere;
     at s = 0 (and s = 1) a single function equals one.
     """
-    if K < 4:
+    if not (_is_count(K) and K >= 4):
         raise DimensionError(f"cubic B-splines need K >= 4 basis functions, got {K}")
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     if np.any(s_arr < 0.0) or np.any(s_arr > 1.0):
@@ -179,10 +180,10 @@ class SmoothDgpConfig:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.K < 4:
+        if not (_is_count(self.K) and self.K >= 4):
             raise DimensionError(f"spline basis needs K >= 4, got {self.K}")
         _check_ar1("AR coefficient", self.theta_ar, smooth=True)
-        if self.p < 2 or self.T < 2:
+        if not (_is_count(self.p) and _is_count(self.T) and self.p >= 2 and self.T >= 2):
             raise DimensionError("smooth DGP needs p >= 2 and T >= 2")
         _check_scale("sigma", self.sigma)
         _check_scale("signal_variance", self.signal_variance)
@@ -243,7 +244,7 @@ def gen_ar1_noise(p: int, T: int, theta_ar: float, sigma: float, seed_or_rng=Non
     All normals come from one (p, T) draw, in the order a column-by-column
     loop draws them, so the output is bit-identical to that loop.
     """
-    if not (p >= 1 and T >= 1):
+    if not (_is_count(p) and _is_count(T) and p >= 1 and T >= 1):
         raise DimensionError(f"AR(1) noise needs p >= 1 and T >= 1, got p={p}, T={T}")
     _check_ar1("AR coefficient", theta_ar)
     _check_scale("sigma", sigma)
@@ -327,7 +328,7 @@ class SimSetting:
     theta_ar: float = 0.0
 
     def __post_init__(self):
-        if self.p < 2 or self.T < 2:
+        if not (_is_count(self.p) and _is_count(self.T) and self.p >= 2 and self.T >= 2):
             raise DimensionError(f"a setting needs p >= 2 and T >= 2, got p={self.p}, T={self.T}")
         _check_scale("sigma2", self.sigma2)
 
@@ -369,16 +370,16 @@ class SimulationSpec:
             raise DomainError(f"unknown methods {sorted(unknown)}")
         if repeated := [m for i, m in enumerate(self.methods) if m in self.methods[:i]]:
             raise DomainError(f"method {repeated[0]!r} is listed more than once")
-        if self.replications < 1:
+        if not (_is_count(self.replications) and self.replications >= 1):
             raise DomainError("replications must be >= 1")
-        if self.seed < 0:
+        if not (_is_count(self.seed) and self.seed >= 0):
             raise DomainError(f"seed must be nonnegative, got {self.seed}")
         _check_selection(self.cutoff, 1 if self.thinning is None else self.thinning)  # None: automatic
-        if self.l_fixed < 1:
+        if not (_is_count(self.l_fixed) and self.l_fixed >= 1):
             raise DomainError(f"l_fixed (spec key 'l') must be >= 1, got {self.l_fixed}")
-        if self.scree_l_max < 4:
+        if not (_is_count(self.scree_l_max) and self.scree_l_max >= 4):
             raise DomainError(f"scree_l_max must be >= 4, got {self.scree_l_max}")
-        if self.kind == "sse" and self.dgp == "smooth" and self.smooth_K < 4:  # checked once, by name
+        if self.kind == "sse" and self.dgp == "smooth" and not (_is_count(self.smooth_K) and self.smooth_K >= 4):
             raise DimensionError(f"smooth_K must be >= 4 for the cubic spline basis, got {self.smooth_K}")
         if tuple(self.levels) != _LEVELS:
             raise DomainError(f"levels must be {_LEVELS}, got {tuple(self.levels)}")
@@ -433,7 +434,7 @@ def _normals(spec: SimulationSpec, si: int, ri: int):
     return replication_rng(spec.seed, si, ri), [np.empty(s) for s in [*signal, (setting.p, setting.T)]]
 
 
-def _fill(rng: np.random.Generator, arrays: list) -> list:  # on the helper thread, with no BLAS call
+def _fill(rng: np.random.Generator, arrays: list) -> list:  # on a draw thread, with no BLAS call
     for out in arrays:
         rng.standard_normal(out=out)
     return arrays
@@ -507,14 +508,14 @@ def _one_blas_thread():
 def run_monte_carlo(spec: SimulationSpec, workers: Optional[int] = None) -> SimulationSummary:
     """Run a full study grid; deterministic for a given spec regardless of workers.
 
-    Each (setting, replication) pair draws from its own derived stream
-    and results are aggregated in replication order, so thread count and
-    scheduling cannot affect the output.  Replications run on ``workers``
-    pool threads with numpy's OpenBLAS on one thread, where it can be.  Each
-    worker allocates the next replication's arrays, its helper thread fills
-    them with normals (no BLAS call), and the replication uses and drops them.
-    A replication raising one of ``REPLICATION_ERRORS`` counts as failed, by
-    its exception's class name, and is excluded; any other propagates.
+    Each (setting, replication) pair draws from its own derived stream, and
+    results are aggregated in replication order, so scheduling cannot affect
+    the output.  A setting runs in ``workers`` chunks, on one OpenBLAS thread
+    where it can: the caller runs the first in a fresh context, ``workers - 1``
+    pool threads the rest, and ``workers`` draw threads fill each chunk's next
+    arrays with normals.  The next setting waits for this one's chunks.  A
+    replication raising one of ``REPLICATION_ERRORS`` counts as failed, by its
+    exception's class name, and is excluded; any other propagates.
     """
     from concurrent.futures import ThreadPoolExecutor  # here, so that other commands never load it
 
@@ -523,23 +524,22 @@ def run_monte_carlo(spec: SimulationSpec, workers: Optional[int] = None) -> Simu
     R = spec.replications
     firsts = range(0, R, -(-R // workers))  # one contiguous chunk of each setting per worker
 
-    def run_chunk(task):
-        si, first = task
+    def run_chunk(si, first):
         reps, out = range(R)[first:first + firsts.step], []
-        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="fdfactor-draws") as helper:
-            ahead = helper.submit(_fill, *_normals(spec, si, reps[0]))
-            for ri in reps:  # replication ri computes while the helper draws ri + 1
-                normals = ahead.result()
-                ahead = helper.submit(_fill, *_normals(spec, si, ri + 1)) if ri + 1 in reps else None
-                out.append(runner(spec, spec.settings[si], normals))
+        ahead = draws.submit(_fill, *_normals(spec, si, reps[0]))
+        for ri in reps:  # replication ri computes while a draw thread fills ri + 1
+            normals = ahead.result()
+            ahead = draws.submit(_fill, *_normals(spec, si, ri + 1)) if ri + 1 in reps else None
+            out.append(runner(spec, spec.settings[si], normals))
         return out
 
     results = []
-    with _one_blas_thread() as blas_threads, ThreadPoolExecutor(max_workers=workers) as ex:
-        # map queues every chunk at once, yields them in order and cancels the rest on a fault
-        chunks = ex.map(run_chunk, [(si, first) for si in range(len(spec.settings)) for first in firsts])
-        for setting in spec.settings:
-            cells = [c for _ in firsts for c in next(chunks)]
+    with (_one_blas_thread() as blas_threads, ThreadPoolExecutor(workers, "fdfactor-draws") as draws,
+          ThreadPoolExecutor(max(1, workers - 1)) as pool):  # closed first, while its chunks can still draw
+        for si, setting in enumerate(spec.settings):
+            rest = [pool.submit(run_chunk, si, first) for first in firsts[1:]]
+            with np.errstate(all="warn", under="ignore"):  # numpy's defaults: numpy 1.x keeps them per thread
+                cells = contextvars.Context().run(run_chunk, si, 0) + [c for f in rest for c in f.result()]
             for method in cells[0]:  # spec.methods in order, or "noise-test"
                 good = [c[method] for c in cells if not isinstance(c[method], str)]
                 failed = [c[method] for c in cells if isinstance(c[method], str)]

@@ -29,6 +29,7 @@ from fdfactor import (
     iid_noise_test,
     lambda_scree,
     plateau_fit,
+    residual_acf,
     rough_components,
     run_monte_carlo,
     select_frequencies,
@@ -382,13 +383,15 @@ class TestMonteCarloHarness:
         b = run_monte_carlo(spec)
         assert summary_rows(a) == summary_rows(b)
 
-    def test_workers_do_not_change_results(self):
+    @pytest.mark.parametrize("replications, workers", [(8, 4), (8, 3), (2, 3), (7, 8)])
+    def test_workers_do_not_change_results(self, replications, workers):
+        # chunks that do not divide R, and fewer replications than workers
         spec = self.spec(
             settings=[SimSetting(p=20, T=30, sigma2=0.1), SimSetting(p=15, T=25, sigma2=0.05)],
-            replications=8,
+            replications=replications,
         )
         a = run_monte_carlo(spec, workers=1)
-        b = run_monte_carlo(spec, workers=4)
+        b = run_monte_carlo(spec, workers=workers)
         assert summary_rows(a) == summary_rows(b)
 
     @pytest.mark.parametrize("sigma2", [-1.0, float("nan"), float("inf")])
@@ -459,12 +462,26 @@ class TestMonteCarloHarness:
         # run_monte_carlo imports the pool when it is called, from concurrent.futures
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
         monkeypatch.setenv("FDFACTOR_WORKERS", "3")
-        spec = self.spec(replications=2)
-        for workers in (None, 0, -2, 2):
-            run_monte_carlo(spec, workers=workers)
-        assert [n for prefix, n in pools if prefix != "fdfactor-draws"] == [1, 1, 1, 2]
-        # one helper per chunk, and a study has one chunk per worker: 1 + 1 + 1 + 2
-        assert [n for prefix, n in pools if prefix == "fdfactor-draws"] == [1] * 5
+        settings = [SimSetting(p=20, T=30, sigma2=0.1)] * 3
+        for workers in (None, 0, -2, 2, 3):
+            run_monte_carlo(self.spec(settings=settings, replications=2), workers=workers)
+        # two executors per study, whatever its number of settings: one draw thread per worker
+        assert [n for prefix, n in pools if prefix == "fdfactor-draws"] == [1, 1, 1, 2, 3]
+        # and a chunk pool of workers - 1 threads, at least 1, which starts none at workers 1
+        assert [n for prefix, n in pools if prefix != "fdfactor-draws"] == [1, 1, 1, 1, 2]
+
+    def test_a_default_study_starts_only_the_draw_thread_and_leaves_none_behind(self, monkeypatch):
+        started, real_start = [], threading.Thread.start
+
+        def start_spy(thread):
+            started.append(thread.name)
+            return real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start_spy)
+        before = threading.active_count()
+        run_monte_carlo(self.spec(settings=[SimSetting(p=20, T=30, sigma2=0.1)] * 3, replications=4))
+        assert len(started) == 1 and started[0].startswith("fdfactor-draws")
+        assert threading.active_count() == before
 
     @staticmethod
     def fake_blas(monkeypatch):
@@ -490,15 +507,21 @@ class TestMonteCarloHarness:
         runner = "_run_sse_rep" if kind == "sse" else "_run_test_rep"
         real = getattr(simulate, runner)
 
-        def spy(*args):
-            seen.append((threading.get_ident(), count[0]))
-            return real(*args)
+        spec = self.spec(kind=kind, settings=[SimSetting(p=20, T=30, sigma2=0.1),
+                                              SimSetting(p=15, T=25, sigma2=0.05)], replications=7)
+        # a replication is known by its stream's first normal, the first entry of its first array
+        cell = {replication_rng(spec.seed, si, ri).standard_normal(): (si, ri) for si in (0, 1) for ri in range(7)}
+
+        def spy(spec, setting, normals):
+            seen.append((cell[normals[0].flat[0]], threading.get_ident(), count[0]))
+            return real(spec, setting, normals)
 
         monkeypatch.setattr(simulate, runner, spy)
-        settings = [SimSetting(p=20, T=30, sigma2=0.1), SimSetting(p=15, T=25, sigma2=0.05)]
-        summary = run_monte_carlo(self.spec(kind=kind, settings=settings, replications=7), workers)
-        assert len(seen) == 14 and {c for _, c in seen} == {1}
-        assert threading.get_ident() not in {t for t, _ in seen}  # replications run on the pool
+        summary = run_monte_carlo(spec, workers)
+        assert sorted(c for c, _, _ in seen) == sorted(cell.values()) and {n for *_, n in seen} == {1}
+        on_caller = {c for c, t, _ in seen if t == threading.get_ident()}
+        # workers 1: the caller runs every replication; workers 3: chunks of 3, 3 and 1, the caller's first
+        assert on_caller == ({(si, ri) for si in (0, 1) for ri in range(7 if workers == 1 else 3)})
         assert count == [2] and summary.blas_threads_per_worker == 1
 
     def test_numpy_openblas_count_is_given_back(self):
@@ -688,9 +711,35 @@ class TestMonteCarloHarness:
         row = run_monte_carlo(spec).results[0]  # the test itself has too few grid points
         assert (row.failures, row.failure_causes) == (5, {"DimensionError": 5})
 
+    @pytest.mark.parametrize("build, error", [
+        pytest.param(lambda spec: SimSetting(p=20.5, T=30, sigma2=0.1), DimensionError, id="setting-p"),
+        pytest.param(lambda spec: SimSetting(p=20, T=30.0, sigma2=0.1), DimensionError, id="setting-T"),
+        pytest.param(lambda spec: RoughDgpConfig(p=20.5, T=30, sigma2=0.1), DimensionError, id="rough-p"),
+        pytest.param(lambda spec: SmoothDgpConfig(p=40, T=30, sigma=1.0, K=8.5), DimensionError, id="smooth-K"),
+        pytest.param(lambda spec: SmoothDgpConfig(p=40.0, T=30, sigma=1.0), DimensionError, id="smooth-p"),
+        pytest.param(lambda spec: gen_ar1_noise(3.5, 4, 0.0, 1.0, 0), DimensionError, id="ar1-p"),
+        pytest.param(lambda spec: bspline_basis(5.5, 0.3), DimensionError, id="bspline-K"),
+        pytest.param(lambda spec: residual_acf(np.arange(6.0), 2.5), DimensionError, id="acf-h_max"),
+        pytest.param(lambda spec: spec(dgp="smooth", smooth_K=8.5), DimensionError, id="spec-smooth_K"),
+        pytest.param(lambda spec: spec(replications=2.5), DomainError, id="spec-replications"),
+        pytest.param(lambda spec: spec(replications=True), DomainError, id="spec-replications-bool"),
+        pytest.param(lambda spec: spec(seed=1.5), DomainError, id="spec-seed"),
+        pytest.param(lambda spec: spec(l_fixed=2.5), DomainError, id="spec-l_fixed"),
+        pytest.param(lambda spec: spec(scree_l_max=6.5), DomainError, id="spec-scree_l_max"),
+    ])
+    def test_a_non_integer_count_is_rejected_before_any_replication_runs(self, build, error):
+        # each used to end in a bare TypeError, or (l_fixed) in a study of failed replications
+        with pytest.raises(error):
+            build(self.spec)
+
+    def test_numpy_integers_are_counts(self):
+        spec = self.spec(replications=np.int64(2), seed=np.uint32(7), l_fixed=np.int8(2),
+                         settings=[SimSetting(p=np.int32(20), T=np.int64(30), sigma2=0.1)])
+        assert run_monte_carlo(spec).results[0].failures == 0
+
 
 class TestDrawnAhead:
-    """Each chunk's helper draws replication i + 1's normals while replication i computes."""
+    """A draw thread fills replication i + 1's normals while replication i computes on its chunk's thread."""
 
     SPECS = {
         "rough-sse": dict(dgp="rough", settings=[SimSetting(p=20, T=30, sigma2=0.1, theta_ar=0.3)],
@@ -772,12 +821,12 @@ class TestDrawnAhead:
         monkeypatch.setattr(simulate, "_fill", fill_spy)
         monkeypatch.setattr(simulate, "_run_sse_rep", runner_spy)
         run_monte_carlo(self.spec("rough-sse", replications=7), workers=3)
-        # each replication allocated on a chunk thread and drawn once, on a helper, none beyond a chunk's end
+        # each replication allocated on a chunk thread and drawn once, on a draw thread, none beyond a chunk's end
         assert sorted(args for args, _ in streams) == [(321, 0, ri) for ri in range(7)]
         assert not any(name.startswith("fdfactor-draws") for _, name in streams)
         assert len(draws) == 7 and all(name.startswith("fdfactor-draws") for name in draws)
         assert len(reps) == 7 and not any(name.startswith("fdfactor-draws") for name in reps)
-        assert threading.current_thread().name not in reps
+        assert reps.count(threading.current_thread().name) == 3  # the caller runs the first chunk, 0-2
 
     @pytest.mark.parametrize("exc", [TypeError, KeyboardInterrupt])
     @pytest.mark.parametrize("workers", [1, 2])
@@ -792,3 +841,57 @@ class TestDrawnAhead:
         with pytest.raises(exc, match="raised by the runner"):
             run_monte_carlo(self.spec("rough-sse", replications=6), workers)
         assert threading.active_count() == before
+
+    def test_an_interrupt_stops_the_study_at_the_running_replication(self, monkeypatch):
+        import _thread
+
+        import fdfactor.simulate as simulate
+
+        calls, real = [], simulate._run_sse_rep
+
+        def interrupting(*args):
+            calls.append(threading.get_ident())
+            if len(calls) == 3:
+                _thread.interrupt_main()  # as Ctrl-C does
+            return real(*args)
+
+        monkeypatch.setattr(simulate, "_run_sse_rep", interrupting)
+        count = TestMonteCarloHarness.fake_blas(monkeypatch)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            run_monte_carlo(self.spec("rough-sse", replications=40), workers=1)
+        assert len(calls) <= 4
+        assert threading.active_count() == before and count == [2]
+
+    def test_a_fault_stops_the_study_before_the_next_setting(self, monkeypatch):
+        import fdfactor.simulate as simulate
+
+        calls = []
+
+        def broken(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise TypeError("raised by the runner")
+            return {"pca": (0.0, 3.0), "bspline": (0.0, 6.0)}
+
+        monkeypatch.setattr(simulate, "_run_sse_rep", broken)
+        settings = [SimSetting(p=20, T=30, sigma2=0.1)] * 6
+        with pytest.raises(TypeError, match="raised by the runner"):
+            run_monte_carlo(self.spec("rough-sse", settings=settings, replications=20))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_a_caller_error_state_reaches_no_replication(self, monkeypatch, workers):
+        import fdfactor.simulate as simulate
+
+        seen, real, default = [], simulate._run_sse_rep, np.geterr()
+
+        def spy(*args):
+            seen.append(np.geterr())
+            return real(*args)
+
+        monkeypatch.setattr(simulate, "_run_sse_rep", spy)
+        with np.errstate(all="raise"):
+            run_monte_carlo(self.spec("rough-sse", replications=6), workers)
+            assert np.geterr()["under"] == "raise"  # the caller's own state is left as it was
+        assert len(seen) == 6 and all(state == default for state in seen)
