@@ -9,14 +9,11 @@ the manifest, then prints.  So a command that fails before that point
 leaves no output and prints no result.  ``simulate`` prints its ``seed:``
 line once the whole spec and ``--workers >= 1`` are checked, before any
 replication runs; its manifest's ``failures_by_cause`` counts each
-cell's failed replications by exception class.  Every command runs on one
-BLAS thread where numpy's OpenBLAS allows (manifest ``blas_threads`` 1, else
-null); library calls keep the BLAS's count, so a command's bytes at T > p
-may differ in the last bits from a library ``fit`` on more threads.
-Options are checked before any input is read: a given option that the
-chosen mode does not read, or a second mode flag, exits 2 naming it.
-Exit codes: 0 success, 2 usage/input problems, 3 numerical or
-degenerate-data failures.
+cell's failed replications by exception class.  Each command holds one BLAS
+thread, as ``spectral._one_blas_thread`` states.  Options are checked
+before any input is read: a given option that the chosen mode does not
+read, or a second mode flag, exits 2 naming it.  Exit codes: 0 success, 2
+usage/input problems, 3 numerical or degenerate-data failures.
 """
 
 from __future__ import annotations
@@ -66,11 +63,10 @@ from .simulate import (
     SUMMARY_COLUMNS,
     SimSetting,
     SimulationSpec,
-    _one_blas_thread,
     run_monte_carlo,
     summary_rows,
 )
-from .spectral import _centered_eigh
+from .spectral import _centered_eigh, _one_blas_thread
 
 USAGE_ERRORS = (
     PanelFormatError,
@@ -343,8 +339,7 @@ _OPTIONS = {
     "--hmax": (int, 40, "largest acf lag"),
     "--cols": (str, None, "restrict covariance/correlation to columns A:B (1-based)"),
     "--spec": (str, None, "JSON study spec"),
-    "--workers": (int, None, "replication threads, the calling one included, each on one BLAS thread "
-                             "with its normals drawn ahead, at least 1 (default 1)"),
+    "--workers": (int, None, "replication threads, the calling one included, at least 1 (default 1)"),
 }
 #: command -> (help; the options it always reads, "!" marking a required one;
 #: mode flag -> the options that mode reads besides, where exactly one is given)

@@ -16,12 +16,9 @@ so results are reproducible bit for bit regardless of scheduling.
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
-import ctypes
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,6 +28,7 @@ from .errors import DimensionError, DomainError, NumericalError, OrderError, Sel
 from .factor import _max_order, fit
 from .order import plateau_fit
 from .panel import ObservationPanel, SampleGrid, _frozen, _is_count, _require_finite, _write_rows
+from .spectral import _one_blas_thread
 
 #: pinned random-number recipe, recorded in manifests so that
 #: reimplementations can document divergence
@@ -483,37 +481,15 @@ def _aggregate(kind: str, good: np.ndarray) -> dict:
         lambda_fin_median=m0, lambda_inf_median=m1)
 
 
-@lru_cache(maxsize=1)
-def _blas_thread_setter():
-    """``openblas_set_num_threads_local`` of numpy's OpenBLAS: sets the process's count, returns the old."""
-    root = Path(np.__file__).parent  # Linux wheels bundle it in numpy.libs/, macOS wheels in .dylibs/
-    libs = [*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]
-    setter = getattr(ctypes.CDLL(str(libs[0])), "openblas_set_num_threads_local", None) if libs else None
-    if setter is not None:  # None: another BLAS, an older OpenBLAS or a conda layout
-        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
-    return setter
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Hold numpy's OpenBLAS to one thread, process-wide; yields 1, or None where it cannot be set."""
-    set_threads = _blas_thread_setter() or (lambda n: None)  # no setter: set nothing, yield None
-    previous = set_threads(1)  # idle OpenBLAS threads would spin-wait
-    try:
-        yield None if previous is None else 1
-    finally:  # the caller's count back, after a fault or an interrupt too
-        set_threads(previous)
-
-
 def run_monte_carlo(spec: SimulationSpec, workers: Optional[int] = None) -> SimulationSummary:
     """Run a full study grid; deterministic for a given spec regardless of workers.
 
     Each (setting, replication) pair draws from its own derived stream, and
     results are aggregated in replication order, so scheduling cannot affect
-    the output.  A setting runs in ``workers`` chunks, on one OpenBLAS thread
-    where it can: the caller runs the first in a fresh context, ``workers - 1``
-    pool threads the rest, and ``workers`` draw threads fill each chunk's next
-    arrays with normals.  The next setting waits for this one's chunks.  A
+    the output.  A setting runs in ``workers`` chunks: the caller runs the first
+    in a fresh context, ``workers - 1`` pool threads the rest, and ``workers``
+    draw threads fill each chunk's next arrays with normals.  The next setting
+    waits for this one's chunks, and the study holds ``_one_blas_thread``.  A
     replication raising one of ``REPLICATION_ERRORS`` counts as failed, by its
     exception's class name, and is excluded; any other propagates.
     """

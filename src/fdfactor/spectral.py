@@ -10,8 +10,12 @@ involved anywhere.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -81,6 +85,32 @@ def _centered_eigh(values: np.ndarray, center: bool = True) -> _CenteredSpectrum
     _require_finite(G, "Gram matrix of the panel", "the panel is")
     vals, vecs = eigh_descending(G)
     return _CenteredSpectrum(mu, Z, vals, vecs)
+
+
+@lru_cache(maxsize=1)
+def _blas_thread_setter():
+    """``openblas_set_num_threads_local`` of numpy's OpenBLAS: sets the process's count, returns the old."""
+    root = Path(np.__file__).parent  # Linux wheels bundle it in numpy.libs/, macOS wheels in .dylibs/
+    libs = [*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]
+    setter = getattr(ctypes.CDLL(str(libs[0])), "openblas_set_num_threads_local", None) if libs else None
+    if setter is not None:  # None: another BLAS, an older OpenBLAS or a conda layout
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+    return setter
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS to one thread, process-wide; yields 1, or None where it cannot be set.
+
+    ``cli.main`` holds it per command and ``run_monte_carlo`` per study; every other library call
+    keeps the caller's count, as per-call holds of this process-wide count would reset each other's.
+    """
+    set_threads = _blas_thread_setter() or (lambda n: None)  # no setter: set nothing, yield None
+    previous = set_threads(1)  # idle OpenBLAS threads would spin-wait
+    try:
+        yield None if previous is None else 1
+    finally:  # the caller's count back, after a fault or an interrupt too
+        set_threads(previous)
 
 
 @dataclass(frozen=True)

@@ -735,30 +735,15 @@ class TestSimulateSpecValidation:
 
     @pytest.mark.parametrize("found", [True, False])
     def test_manifest_records_the_blas_threads_of_each_worker(self, tmp_path, capsys, monkeypatch, found):
-        import fdfactor.simulate as simulate
+        import fdfactor.spectral as spectral
 
         if not found:
-            monkeypatch.setattr(simulate, "_blas_thread_setter", lambda: None)
+            monkeypatch.setattr(spectral, "_blas_thread_setter", lambda: None)
         assert self.run(tmp_path, capsys, json.dumps(self.BASE), "--workers", "2")[0] == 0
         manifest = json.loads((tmp_path / "sim" / "manifest.json").read_text())
-        expected = 1 if found and simulate._blas_thread_setter() is not None else None
+        expected = 1 if found and spectral._blas_thread_setter() is not None else None
         assert manifest["parameters"]["blas_threads_per_worker"] == expected
         assert manifest["blas_threads"] == expected
-
-
-@pytest.fixture
-def fake_blas(monkeypatch):
-    """A process-wide BLAS thread count, 2, behind a fake ``openblas_set_num_threads_local``."""
-    import fdfactor.simulate as simulate
-
-    count = [2]
-
-    def set_threads(n):
-        previous, count[0] = count[0], n
-        return previous
-
-    monkeypatch.setattr(simulate, "_blas_thread_setter", lambda: set_threads)
-    return count
 
 
 class TestOneBlasThread:
@@ -801,9 +786,9 @@ class TestOneBlasThread:
 
     @pytest.mark.parametrize("command", ["fit", "test", "scree", "diagnose"])
     def test_without_a_setter_the_manifest_says_null(self, tmp_path, capsys, monkeypatch, command):
-        import fdfactor.simulate as simulate
+        import fdfactor.spectral as spectral
 
-        monkeypatch.setattr(simulate, "_blas_thread_setter", lambda: None)
+        monkeypatch.setattr(spectral, "_blas_thread_setter", lambda: None)
         assert main(self.argv(tmp_path, command)) == 0
         assert json.loads((tmp_path / "out" / "manifest.json").read_text())["blas_threads"] is None
 
@@ -829,7 +814,7 @@ class TestOneBlasThread:
         assert fake_blas == [2]
 
     def test_tall_fit_writes_the_same_bytes_whatever_the_callers_count(self, tmp_path, capsys):
-        from fdfactor.simulate import _blas_thread_setter, _one_blas_thread
+        from fdfactor.spectral import _blas_thread_setter, _one_blas_thread
 
         setter = _blas_thread_setter()
         if setter is None:

@@ -483,27 +483,13 @@ class TestMonteCarloHarness:
         assert len(started) == 1 and started[0].startswith("fdfactor-draws")
         assert threading.active_count() == before
 
-    @staticmethod
-    def fake_blas(monkeypatch):
-        """A process-wide BLAS thread count, 2, behind a fake ``openblas_set_num_threads_local``."""
-        import fdfactor.simulate as simulate
-
-        count = [2]
-
-        def set_threads(n):
-            previous, count[0] = count[0], n
-            return previous
-
-        monkeypatch.setattr(simulate, "_blas_thread_setter", lambda: set_threads)
-        return count
-
     @pytest.mark.parametrize("kind", ["sse", "noise-test"])
     @pytest.mark.parametrize("workers", [1, 3])
     def test_every_replication_runs_on_one_blas_thread_and_the_count_comes_back(
-            self, monkeypatch, kind, workers):
+            self, monkeypatch, fake_blas, kind, workers):
         import fdfactor.simulate as simulate
 
-        count, seen = self.fake_blas(monkeypatch), []
+        count, seen = fake_blas, []
         runner = "_run_sse_rep" if kind == "sse" else "_run_test_rep"
         real = getattr(simulate, runner)
 
@@ -525,7 +511,7 @@ class TestMonteCarloHarness:
         assert count == [2] and summary.blas_threads_per_worker == 1
 
     def test_numpy_openblas_count_is_given_back(self):
-        from fdfactor.simulate import _blas_thread_setter
+        from fdfactor.spectral import _blas_thread_setter
 
         setter = _blas_thread_setter()
         if setter is None:
@@ -543,11 +529,11 @@ class TestMonteCarloHarness:
              settings=[SimSetting(p=60, T=40, sigma2=1.0), SimSetting(p=60, T=40, sigma2=1.0, theta_ar=0.4)]),
     ], ids=["plateau-smooth", "noise-test"])
     def test_without_a_per_thread_blas_count_the_summary_is_unchanged(self, monkeypatch, spec):
-        import fdfactor.simulate as simulate
+        import fdfactor.spectral as spectral
 
         spec = self.spec(replications=6, **spec)
         expected = summary_rows(run_monte_carlo(spec))
-        monkeypatch.setattr(simulate, "_blas_thread_setter", lambda: None)
+        monkeypatch.setattr(spectral, "_blas_thread_setter", lambda: None)
         for workers in (1, 2, 4):
             summary = run_monte_carlo(spec, workers=workers)
             assert summary.blas_threads_per_worker is None
@@ -564,7 +550,7 @@ class TestMonteCarloHarness:
     @pytest.mark.parametrize("kind, target", [("sse", "fit"), ("noise-test", "iid_noise_test")])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_bugs_propagate_instead_of_counting_as_failures(
-        self, monkeypatch, kind, target, workers
+        self, monkeypatch, fake_blas, kind, target, workers
     ):
         import fdfactor.simulate as simulate
 
@@ -572,7 +558,7 @@ class TestMonteCarloHarness:
             raise TypeError("a bug, not a failed replication")
 
         monkeypatch.setattr(simulate, target, broken)
-        count = self.fake_blas(monkeypatch)
+        count = fake_blas
         spec = self.spec(kind=kind, settings=[SimSetting(p=20, T=30, sigma2=0.1)])
         with pytest.raises(TypeError):
             run_monte_carlo(spec, workers=workers)
@@ -842,7 +828,7 @@ class TestDrawnAhead:
             run_monte_carlo(self.spec("rough-sse", replications=6), workers)
         assert threading.active_count() == before
 
-    def test_an_interrupt_stops_the_study_at_the_running_replication(self, monkeypatch):
+    def test_an_interrupt_stops_the_study_at_the_running_replication(self, monkeypatch, fake_blas):
         import _thread
 
         import fdfactor.simulate as simulate
@@ -856,7 +842,7 @@ class TestDrawnAhead:
             return real(*args)
 
         monkeypatch.setattr(simulate, "_run_sse_rep", interrupting)
-        count = TestMonteCarloHarness.fake_blas(monkeypatch)
+        count = fake_blas
         before = threading.active_count()
         with pytest.raises(KeyboardInterrupt):
             run_monte_carlo(self.spec("rough-sse", replications=40), workers=1)

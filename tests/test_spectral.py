@@ -337,3 +337,40 @@ class TestSpectralConsistency:
             [first_eigenfunction_error(jump_only_panel(70, 400, 0.05, rng)) for _ in range(50)]
         )
         assert abs(noisy - clean) < 0.5 * clean
+
+
+class TestBlasThreadContract:
+    """``cli.main`` and ``run_monte_carlo`` hold one BLAS thread; every other library call keeps the count."""
+
+    @pytest.mark.parametrize("T, p", [(40, 30), (25, 60)])
+    def test_library_calls_never_call_the_setter(self, fake_blas, T, p):
+        from fdfactor import (
+            bspline_ls_fit,
+            fit,
+            iid_noise_test,
+            lambda_scree,
+            plateau_fit,
+            residual_covariance,
+            select_frequencies,
+        )
+
+        panel = make_panel(np.random.default_rng(5).standard_normal((T, p)))
+        sel = select_frequencies(p, 0.1, 2)
+        fit(panel, 2)
+        lambda_scree(panel, 5, sel)
+        plateau_fit(panel, 5, sel)
+        empirical_eigensystem(panel)
+        residual_covariance(panel)
+        bspline_ls_fit(panel, 8)
+        iid_noise_test(panel, sel)
+        assert fake_blas.calls == [] and fake_blas == [2]
+
+    def test_the_hold_sets_one_and_gives_the_count_back(self, fake_blas):
+        from fdfactor.simulate import SimSetting, SimulationSpec, run_monte_carlo
+
+        with spectral._one_blas_thread() as held:
+            assert held == 1 and fake_blas == [1]
+        spec = SimulationSpec(dgp="rough", kind="sse", settings=[SimSetting(p=20, T=30, sigma2=0.1)],
+                              replications=2, seed=1)
+        assert run_monte_carlo(spec).blas_threads_per_worker == 1
+        assert fake_blas.calls == [1, 2, 1, 2] and fake_blas == [2]

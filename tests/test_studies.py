@@ -16,7 +16,7 @@ from fdfactor import (
     select_frequencies,
 )
 from fdfactor.cli import main
-from fdfactor.simulate import _one_blas_thread
+from fdfactor.spectral import _one_blas_thread
 
 ROOT = Path(__file__).resolve().parents[1]
 STUDIES = sorted((ROOT / "studies").glob("*.json"))
