@@ -63,6 +63,7 @@ from .simulate import (
     SUMMARY_COLUMNS,
     SimSetting,
     SimulationSpec,
+    _check_count,
     run_monte_carlo,
     summary_rows,
 )
@@ -295,8 +296,7 @@ def _read_spec(path):
 
 
 def _cmd_simulate(args):
-    if args.workers is not None and args.workers < 1:
-        raise DomainError(f"--workers must be >= 1, got {args.workers}")
+    _check_count("--workers", args.workers, 1, optional=True)
     raw, fields = _read_spec(args.spec)
     if fields.get("seed") is None:
         fields["seed"] = secrets.randbits(63)

@@ -50,6 +50,12 @@ def _check_scale(name: str, value: float) -> None:
         raise DomainError(f"{name} must be finite and nonnegative, got {value}")
 
 
+def _check_count(name: str, n, least: int, optional: bool = False) -> None:
+    """Raise DomainError unless ``n`` is an integer >= least, or None where it is optional."""
+    if not (optional and n is None or _is_count(n) and n >= least):
+        raise DomainError(f"{name} must be {f'>= {least}' if least else 'nonnegative'}, got {n}")
+
+
 def replication_rng(seed: int, setting_index: int, replication_index: int) -> np.random.Generator:
     """Independent stream for one (setting, replication) cell of a study."""
     ss = np.random.SeedSequence(seed, spawn_key=(setting_index, replication_index))
@@ -93,6 +99,7 @@ class RoughDgpConfig:
         if not (_is_count(self.T) and self.T >= 2):
             raise DimensionError(f"rough DGP needs T >= 2, got {self.T}")
         _check_scale("sigma2", self.sigma2)
+        _check_count("seed", self.seed, 0, optional=True)
 
 
 def gen_rough_signals(cfg: RoughDgpConfig, rng: Optional[np.random.Generator] = None):
@@ -188,6 +195,7 @@ class SmoothDgpConfig:
         if float(self.signal_variance) / _quadrature_variance(self.K) == np.inf:  # Python floats: no warning
             raise DomainError(f"signal_variance must keep the K={self.K} coefficient variances "
                               f"within the float range, got {self.signal_variance}")
+        _check_count("seed", self.seed, 0, optional=True)
 
 
 def coefficient_variances(K: int, signal_variance: float) -> np.ndarray:
@@ -370,13 +378,10 @@ class SimulationSpec:
             raise DomainError(f"method {repeated[0]!r} is listed more than once")
         if not (_is_count(self.replications) and self.replications >= 1):
             raise DomainError("replications must be >= 1")
-        if not (_is_count(self.seed) and self.seed >= 0):
-            raise DomainError(f"seed must be nonnegative, got {self.seed}")
+        _check_count("seed", self.seed, 0)
         _check_selection(self.cutoff, 1 if self.thinning is None else self.thinning)  # None: automatic
-        if not (_is_count(self.l_fixed) and self.l_fixed >= 1):
-            raise DomainError(f"l_fixed (spec key 'l') must be >= 1, got {self.l_fixed}")
-        if not (_is_count(self.scree_l_max) and self.scree_l_max >= 4):
-            raise DomainError(f"scree_l_max must be >= 4, got {self.scree_l_max}")
+        _check_count("l_fixed (spec key 'l')", self.l_fixed, 1)
+        _check_count("scree_l_max", self.scree_l_max, 4)
         if self.kind == "sse" and self.dgp == "smooth" and not (_is_count(self.smooth_K) and self.smooth_K >= 4):
             raise DimensionError(f"smooth_K must be >= 4 for the cubic spline basis, got {self.smooth_K}")
         if tuple(self.levels) != _LEVELS:
@@ -486,16 +491,19 @@ def run_monte_carlo(spec: SimulationSpec, workers: Optional[int] = None) -> Simu
 
     Each (setting, replication) pair draws from its own derived stream, and
     results are aggregated in replication order, so scheduling cannot affect
-    the output.  A setting runs in ``workers`` chunks: the caller runs the first
-    in a fresh context, ``workers - 1`` pool threads the rest, and ``workers``
-    draw threads fill each chunk's next arrays with normals.  The next setting
-    waits for this one's chunks, and the study holds ``_one_blas_thread``.  A
-    replication raising one of ``REPLICATION_ERRORS`` counts as failed, by its
-    exception's class name, and is excluded; any other propagates.
+    the output.  ``workers`` (None for 1) must be an integer >= 1, else
+    DomainError before any replication runs.  A setting runs in ``workers``
+    chunks: the caller runs the first in a fresh context, ``workers - 1`` pool
+    threads the rest, and ``workers`` draw threads fill each chunk's next arrays
+    with normals.  The next setting waits for this one's chunks, and the study
+    holds ``_one_blas_thread``.  A replication raising one of
+    ``REPLICATION_ERRORS`` counts as failed, by its exception's class name, and
+    is excluded; any other propagates.
     """
     from concurrent.futures import ThreadPoolExecutor  # here, so that other commands never load it
 
-    workers = max(1, workers or 1)
+    _check_count("workers", workers, 1, optional=True)
+    workers = workers or 1
     runner = _run_sse_rep if spec.kind == "sse" else _run_test_rep
     R = spec.replications
     firsts = range(0, R, -(-R // workers))  # one contiguous chunk of each setting per worker

@@ -266,6 +266,33 @@ class TestScaleRule:
         self.ENTRY_POINTS[entry][1](0.0)
 
 
+class TestSeedRule:
+    """Every seed takes one rule and one text: an integer >= 0, or None where a config draws one fresh."""
+
+    ENTRY_POINTS = {
+        "RoughDgpConfig": lambda v: RoughDgpConfig(p=20, T=30, sigma2=0.1, seed=v),
+        "SmoothDgpConfig": lambda v: SmoothDgpConfig(p=20, T=30, sigma=0.1, seed=v),
+        "SimulationSpec": lambda v: SimulationSpec(dgp="rough", kind="sse", replications=1, seed=v,
+                                                   settings=[SimSetting(p=20, T=30, sigma2=0.1)]),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("value", [1.5, -3, True, "1"])
+    def test_a_seed_that_is_not_a_nonnegative_integer_is_rejected_with_one_text(self, entry, value):
+        # a config used to take each, then end in numpy's bare TypeError or ValueError, or (True) draw seed 1
+        with pytest.raises(DomainError, match=rf"^seed must be nonnegative, got {value}$"):
+            self.ENTRY_POINTS[entry](value)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("value", [None, 0, np.uint32(7)])
+    def test_nonnegative_integers_are_seeds_and_only_a_config_takes_none(self, entry, value):
+        if value is None and entry == "SimulationSpec":  # a study's streams derive from its seed
+            with pytest.raises(DomainError, match="^seed must be nonnegative, got None$"):
+                self.ENTRY_POINTS[entry](value)
+        else:
+            assert self.ENTRY_POINTS[entry](value).seed is value
+
+
 class TestAddNoiseAndMetric:
     def test_add_noise_identities(self):
         cfg = RoughDgpConfig(p=10, T=5, sigma2=0.0, seed=8)
@@ -463,12 +490,24 @@ class TestMonteCarloHarness:
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
         monkeypatch.setenv("FDFACTOR_WORKERS", "3")
         settings = [SimSetting(p=20, T=30, sigma2=0.1)] * 3
-        for workers in (None, 0, -2, 2, 3):
+        for workers in (None, 1, 2, 3):
             run_monte_carlo(self.spec(settings=settings, replications=2), workers=workers)
         # two executors per study, whatever its number of settings: one draw thread per worker
-        assert [n for prefix, n in pools if prefix == "fdfactor-draws"] == [1, 1, 1, 2, 3]
+        assert [n for prefix, n in pools if prefix == "fdfactor-draws"] == [1, 1, 2, 3]
         # and a chunk pool of workers - 1 threads, at least 1, which starts none at workers 1
-        assert [n for prefix, n in pools if prefix != "fdfactor-draws"] == [1, 1, 1, 1, 2]
+        assert [n for prefix, n in pools if prefix != "fdfactor-draws"] == [1, 1, 1, 2]
+
+    @pytest.mark.parametrize("workers", [2.5, "2", 0, -3, True])
+    def test_a_worker_count_below_one_or_not_an_integer_is_rejected_before_any_replication(
+            self, monkeypatch, workers):
+        # 2.5 and "2" used to end in a bare TypeError, and 0, -3 and True ran on one worker
+        import fdfactor.simulate as simulate
+
+        calls = []
+        monkeypatch.setattr(simulate, "_run_sse_rep", lambda *args: calls.append(args))
+        with pytest.raises(DomainError, match=f"^workers must be >= 1, got {workers}$"):
+            run_monte_carlo(self.spec(), workers=workers)
+        assert calls == []
 
     def test_a_default_study_starts_only_the_draw_thread_and_leaves_none_behind(self, monkeypatch):
         started, real_start = [], threading.Thread.start
