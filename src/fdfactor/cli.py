@@ -13,7 +13,7 @@ cell's failed replications by exception class.  Each command holds one BLAS
 thread, as ``spectral._one_blas_thread`` states.  Options are checked
 before any input is read: a given option that the chosen mode does not
 read, or a second mode flag, exits 2 naming it.  Exit codes: 0 success, 2
-usage/input problems, 3 numerical or degenerate-data failures.
+usage/input problems, 3 numerical failures, by the bases ``errors`` states.
 """
 
 from __future__ import annotations
@@ -39,15 +39,7 @@ from .diagnostics import (
     residual_acf,
     residual_covariance,
 )
-from .errors import (
-    DegenerateVarianceError,
-    DimensionError,
-    DomainError,
-    NumericalError,
-    OrderError,
-    PanelFormatError,
-    SelectionError,
-)
+from .errors import DimensionError, DomainError, InputError, NumericalError, PanelFormatError
 from .factor import _fit_files, _max_order, fit, load_fit_residuals
 from .order import _scree_spectrum, plateau_fit, suggest_plateau_L
 from .panel import (
@@ -68,17 +60,6 @@ from .simulate import (
     summary_rows,
 )
 from .spectral import _centered_eigh, _one_blas_thread
-
-USAGE_ERRORS = (
-    PanelFormatError,
-    DimensionError,
-    OrderError,
-    DomainError,
-    SelectionError,
-    OSError,
-    argparse.ArgumentError,  # an option the chosen mode does not read
-)
-NUMERIC_ERRORS = (NumericalError, DegenerateVarianceError)
 
 
 def _sha256(path) -> str:
@@ -283,9 +264,10 @@ def _read_spec(path):
     settings = fields["settings"] = list(fields["settings"])  # a copy: the manifest records the spec as read
     for i, s in enumerate(settings):
         where = f"{path}: settings[{i}]"
+        kwargs = _spec_fields(s, _SETTING_TYPES, ("p", "T", "sigma2"), where)  # its faults already name where
         try:
-            settings[i] = SimSetting(**_spec_fields(s, _SETTING_TYPES, ("p", "T", "sigma2"), where))
-        except (DimensionError, DomainError) as exc:
+            settings[i] = SimSetting(**kwargs)
+        except InputError as exc:
             raise type(exc)(f"{where}: {exc}") from None
     if not all(isinstance(m, str) for m in fields.get("methods", ())):
         raise PanelFormatError(f"{path}: key 'methods' must be a list of strings")
@@ -409,12 +391,12 @@ def main(argv=None) -> int:
         _write_files(files, "" if manifest is None else args.out)
         if stdout is not None:
             print(stdout, flush=True)  # a closed stdout raises here, after the files are written
-    except USAGE_ERRORS as exc:
+    except (InputError, OSError, argparse.ArgumentError) as exc:  # the last: an option the mode does not read
         if isinstance(exc, BrokenPipeError):  # stdout's reader went away: keep the exit flush silent
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NUMERIC_ERRORS as exc:
+    except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     return 0

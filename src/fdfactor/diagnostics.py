@@ -24,7 +24,7 @@ from .errors import (
     DomainError,
     SelectionError,
 )
-from .panel import ObservationPanel, _is_count, _readonly, _require_finite
+from .panel import ObservationPanel, _is_count, _is_number, _readonly, _require_finite
 
 
 def _as_values(residuals) -> np.ndarray:
@@ -122,7 +122,7 @@ def select_frequencies(p: int, cutoff: float = 0.1, thinning: int = 1) -> Freque
 
 def _check_selection(cutoff: float, thinning) -> None:
     """Raise DomainError unless cutoff is in [0, 1) and thinning an integer >= 1."""
-    if not 0.0 <= cutoff < 1.0:
+    if not (_is_number(cutoff) and 0.0 <= cutoff < 1.0):
         raise DomainError(f"cutoff must lie in [0, 1), got {cutoff}")
     if not (_is_count(thinning) and thinning >= 1):
         raise DomainError(f"thinning must be a positive integer, got {thinning}")
@@ -336,14 +336,14 @@ def ar1_spectral_density(theta_coef: float, sigma: float, theta: float) -> float
     expected periodogram level.
     """
     _check_ar1("AR(1) coefficient", theta_coef)
-    if not sigma > 0.0:
+    if not (_is_number(sigma) and sigma > 0.0):
         raise DomainError(f"innovation scale must be positive, got {sigma}")
     return float(sigma**2 / (1.0 - 2.0 * theta_coef * np.cos(theta) + theta_coef**2))
 
 
 def _check_ar1(name: str, theta: float, smooth: bool = False) -> None:
     """Raise DomainError unless |theta| < 1, which keeps an AR(1) stationary; the smooth DGP takes [0, 1)."""
-    if not (0.0 <= theta < 1.0 if smooth else abs(theta) < 1.0):
+    if not (_is_number(theta) and (0.0 <= theta < 1.0 if smooth else abs(theta) < 1.0)):
         raise DomainError(f"{name} must lie in {'[0, 1) for the smooth DGP' if smooth else '(-1, 1)'}, got {theta}")
 
 

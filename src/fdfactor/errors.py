@@ -1,30 +1,33 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, under two bases.
 
-The CLI maps these onto exit codes: input/usage problems
-(:class:`PanelFormatError`, :class:`DimensionError`, :class:`OrderError`,
-:class:`DomainError`, :class:`SelectionError`) exit with 2, numerical
-failures (:class:`NumericalError`, :class:`DegenerateVarianceError`)
-with 3.
+Every class is an :class:`InputError` (the caller's input or usage) or a
+:class:`NumericalError` (a numerical or degenerate-data failure).  The CLI
+exits 2 on the first and 3 on the second, and the Monte Carlo harness
+counts a replication raising either as failed, by its class name.
 """
 
 
-class PanelFormatError(ValueError):
+class InputError(ValueError):
+    """Base of every fault in the caller's input or usage."""
+
+
+class PanelFormatError(InputError):
     """Raised for malformed tabular input (ragged rows, unparsable cells)."""
 
 
-class DimensionError(ValueError):
+class DimensionError(InputError):
     """Raised when an array has an unusable shape or size."""
 
 
-class OrderError(ValueError):
+class OrderError(InputError):
     """Raised when a factor order L (or scree depth) is out of range."""
 
 
-class DomainError(ValueError):
+class DomainError(InputError):
     """Raised when a scalar argument leaves its mathematical domain."""
 
 
-class SelectionError(ValueError):
+class SelectionError(InputError):
     """Raised when a frequency selection retains fewer than two frequencies."""
 
 

@@ -43,7 +43,7 @@ class ScreeCurve:
         orders.setflags(write=False)
         values = _readonly(self.values)
         if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
+            raise DomainError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         if orders.size != values.size:
             raise DimensionError("orders and values must have equal length")
         if np.any(np.diff(orders) <= 0):
@@ -121,7 +121,7 @@ def suggest_plateau_L(curve: ScreeCurve, rel_tol: float = 0.1) -> PlateauSuggest
     If no order qualifies, l_max is returned with ``plateau_found=False``.
     """
     if curve.kind != "test-statistic":
-        raise ValueError("the plateau rule applies to test-statistic screes")
+        raise DomainError("the plateau rule applies to test-statistic screes")
     if not 0.0 < rel_tol < 1.0:
         raise DomainError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     v = curve.values

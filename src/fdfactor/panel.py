@@ -67,6 +67,11 @@ def _is_count(n) -> bool:
     return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
 
 
+def _is_number(x) -> bool:
+    """True for a Python or numpy integer or float; a bool is not a number."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
 def _reject_cells(bad: np.ndarray, fault: str = "non-finite value at row {r}, column {c}") -> None:
     """Raise PanelFormatError naming the first flagged cell of a table, in row order."""
     if bad.any():

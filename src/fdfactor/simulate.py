@@ -24,10 +24,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .diagnostics import _check_ar1, _check_selection, _selection, iid_noise_test
-from .errors import DimensionError, DomainError, NumericalError, OrderError, SelectionError
+from .errors import DimensionError, DomainError, InputError, NumericalError
 from .factor import _max_order, fit
 from .order import plateau_fit
-from .panel import ObservationPanel, SampleGrid, _frozen, _is_count, _require_finite, _write_rows
+from .panel import ObservationPanel, SampleGrid, _frozen, _is_count, _is_number, _require_finite, _write_rows
 from .spectral import _one_blas_thread
 
 #: pinned random-number recipe, recorded in manifests so that
@@ -41,12 +41,12 @@ ROUGH_SCORE_SCALES = (1.0, 0.5, 0.25)
 _LEVELS = (0.01, 0.05, 0.10)
 
 #: errors that count a replication as failed; any other exception propagates
-REPLICATION_ERRORS = (DimensionError, DomainError, NumericalError, OrderError, SelectionError)
+REPLICATION_ERRORS = (InputError, NumericalError)
 
 
 def _check_scale(name: str, value: float) -> None:
     """Raise DomainError unless a variance or a standard deviation is finite and nonnegative."""
-    if not 0 <= value < np.inf:
+    if not (_is_number(value) and 0 <= value < np.inf):
         raise DomainError(f"{name} must be finite and nonnegative, got {value}")
 
 
@@ -54,6 +54,13 @@ def _check_count(name: str, n, least: int, optional: bool = False) -> None:
     """Raise DomainError unless ``n`` is an integer >= least, or None where it is optional."""
     if not (optional and n is None or _is_count(n) and n >= least):
         raise DomainError(f"{name} must be {f'>= {least}' if least else 'nonnegative'}, got {n}")
+
+
+def _rng(seed_or_rng) -> np.random.Generator:
+    """``np.random.default_rng`` of a Generator, BitGenerator or SeedSequence, or of a seed None or >= 0."""
+    if not isinstance(seed_or_rng, (np.random.Generator, np.random.BitGenerator, np.random.SeedSequence)):
+        _check_count("seed", seed_or_rng, 0, optional=True)
+    return np.random.default_rng(seed_or_rng)
 
 
 def replication_rng(seed: int, setting_index: int, replication_index: int) -> np.random.Generator:
@@ -109,8 +116,7 @@ def gen_rough_signals(cfg: RoughDgpConfig, rng: Optional[np.random.Generator] = 
     scores are independent centered Gaussians with standard deviations
     ``ROUGH_SCORE_SCALES``.
     """
-    rng = np.random.default_rng(cfg.seed if rng is None else rng)
-    return _rough_signals(cfg.p, rng.standard_normal((cfg.T, 3)))
+    return _rough_signals(cfg.p, _rng(cfg.seed if rng is None else rng).standard_normal((cfg.T, 3)))
 
 
 def _rough_signals(p: int, normals: np.ndarray):
@@ -224,8 +230,8 @@ def _quadrature_variance(K: int) -> float:
 
 def gen_spline_signals(cfg: SmoothDgpConfig, rng: Optional[np.random.Generator] = None) -> ObservationPanel:
     """Smooth signals X_t(s_i) = sum_k c_{tk} B_k(s_i) on the midpoint grid."""
-    rng = np.random.default_rng(cfg.seed if rng is None else rng)
-    return _spline_signals(cfg.p, cfg.K, cfg.signal_variance, rng.standard_normal((cfg.T, cfg.K)))
+    normals = _rng(cfg.seed if rng is None else rng).standard_normal((cfg.T, cfg.K))
+    return _spline_signals(cfg.p, cfg.K, cfg.signal_variance, normals)
 
 
 def _spline_signals(p: int, K: int, signal_variance: float, normals: np.ndarray) -> ObservationPanel:
@@ -254,7 +260,7 @@ def gen_ar1_noise(p: int, T: int, theta_ar: float, sigma: float, seed_or_rng=Non
         raise DimensionError(f"AR(1) noise needs p >= 1 and T >= 1, got p={p}, T={T}")
     _check_ar1("AR coefficient", theta_ar)
     _check_scale("sigma", sigma)
-    return _ar1_rows(np.random.default_rng(seed_or_rng).standard_normal((p, T)), theta_ar, sigma)
+    return _ar1_rows(_rng(seed_or_rng).standard_normal((p, T)), theta_ar, sigma)
 
 
 def _ar1_rows(W: np.ndarray, theta_ar: float, sigma: float) -> np.ndarray:
@@ -392,7 +398,7 @@ class SimulationSpec:
                 if self.kind == "sse":  # only an sse study draws signals, and building their config checks them
                     (RoughDgpConfig(s.p, s.T, s.sigma2) if self.dgp == "rough" else
                      SmoothDgpConfig(s.p, s.T, float(np.sqrt(s.sigma2)), s.theta_ar, self.smooth_K, self.signal_variance))
-            except (DimensionError, DomainError) as exc:
+            except InputError as exc:
                 raise type(exc)(f"settings[{i}]: {exc}") from None
         for name in ("settings", "methods", "levels"):
             object.__setattr__(self, name, tuple(getattr(self, name)))

@@ -251,7 +251,7 @@ class TestPlateauRule:
 
     def test_rejects_eigenvalue_curves(self):
         curve = ScreeCurve(np.arange(1, 6), np.arange(5.0)[::-1], "eigenvalue")
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="^the plateau rule applies to test-statistic screes$"):
             suggest_plateau_L(curve)
 
     def test_rel_tol_domain(self):
@@ -347,7 +347,7 @@ class TestCurveValidation:
             ScreeCurve(np.array([1, 2, 3]), np.array([1.0, 2.0, 0.5]), "eigenvalue")
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match=r"^kind must be one of \('eigenvalue', 'test-statistic'\), got 'mystery'$"):
             ScreeCurve(np.array([1, 2]), np.array([1.0, 0.5]), "mystery")
 
 

@@ -1,3 +1,4 @@
+import signal
 import subprocess
 import sys
 import threading
@@ -255,7 +256,7 @@ class TestScaleRule:
     }
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, "x", True])  # "x" was a TypeError, True a scale of 1
     def test_non_finite_or_negative_scale_is_rejected_with_one_text(self, entry, value):
         name, build = self.ENTRY_POINTS[entry]
         with pytest.raises(DomainError, match=rf"^{name} must be finite and nonnegative, got {value}$"):
@@ -264,6 +265,16 @@ class TestScaleRule:
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
     def test_zero_scale_is_accepted(self, entry):
         self.ENTRY_POINTS[entry][1](0.0)
+
+    @pytest.mark.parametrize("setting, spec, text", [
+        ({"theta_ar": "0.2"}, {}, r"settings\[0\]: theta_ar must lie in \(-1, 1\), got 0.2"),
+        ({}, {"cutoff": None}, r"cutoff must lie in \[0, 1\), got None"),
+    ], ids=["theta_ar", "cutoff"])
+    def test_a_non_number_in_a_spec_is_a_domain_error(self, setting, spec, text):
+        # each used to end in a bare TypeError
+        with pytest.raises(DomainError, match=f"^{text}$"):
+            SimulationSpec(dgp="rough", kind="noise-test", replications=1, seed=1,
+                           settings=[SimSetting(p=20, T=30, sigma2=0.1, **setting)], **spec)
 
 
 class TestSeedRule:
@@ -291,6 +302,26 @@ class TestSeedRule:
                 self.ENTRY_POINTS[entry](value)
         else:
             assert self.ENTRY_POINTS[entry](value).seed is value
+
+    GENERATORS = {
+        "gen_ar1_noise": lambda v: gen_ar1_noise(6, 4, 0.3, 1.0, v),
+        "gen_rough_signals": lambda v: gen_rough_signals(RoughDgpConfig(p=20, T=5, sigma2=0.1), v)[0].values,
+        "gen_spline_signals": lambda v: gen_spline_signals(SmoothDgpConfig(p=20, T=5, sigma=0.1, K=6), v).values,
+    }
+
+    @pytest.mark.parametrize("entry", GENERATORS)
+    @pytest.mark.parametrize("value", [1.5, -3, True])
+    def test_a_generator_takes_a_seed_by_the_same_rule(self, entry, value):
+        # each used to end in numpy's bare TypeError or ValueError, or (True) draw seed 1
+        with pytest.raises(DomainError, match=rf"^seed must be nonnegative, got {value}$"):
+            self.GENERATORS[entry](value)
+
+    @pytest.mark.parametrize("entry", GENERATORS)
+    def test_a_generator_draws_from_a_stream_as_from_its_seed(self, entry):
+        draw = self.GENERATORS[entry]
+        expected = draw(7)
+        for source in (np.random.default_rng(7), np.random.SeedSequence(7), np.random.PCG64(7), np.uint8(7)):
+            assert np.array_equal(draw(source), expected), source
 
 
 class TestAddNoiseAndMetric:
@@ -883,8 +914,13 @@ class TestDrawnAhead:
         monkeypatch.setattr(simulate, "_run_sse_rep", interrupting)
         count = fake_blas
         before = threading.active_count()
-        with pytest.raises(KeyboardInterrupt):
-            run_monte_carlo(self.spec("rough-sse", replications=40), workers=1)
+        # interrupt_main does nothing while SIGINT is ignored, as a parent process may leave it
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run_monte_carlo(self.spec("rough-sse", replications=40), workers=1)
+        finally:
+            signal.signal(signal.SIGINT, previous)
         assert len(calls) <= 4
         assert threading.active_count() == before and count == [2]
 
