@@ -228,61 +228,60 @@ _SPEC_TYPES = {
 _SETTING_TYPES = {"p": (int,), "T": (int,), "sigma2": _NUMBER, "theta_ar": _NUMBER}
 
 
-def _spec_fields(obj, types: dict, required, where: str) -> dict:
+def _spec_fields(obj, types: dict, required) -> dict:
     """Keys of a JSON object that are present, numbers as floats; faults name the key.
 
     A key outside ``types`` is a fault too, so a misspelt key never runs on a default.
     """
     if not isinstance(obj, dict):
-        raise PanelFormatError(f"{where} must be a JSON object, got {obj!r}")
-    unknown = sorted(set(obj) - set(types))
-    if unknown:
-        raise PanelFormatError(f"{where}: unknown key {unknown[0]!r}; "
-                               f"accepted keys are {', '.join(types)}")
+        raise PanelFormatError(f"expected a JSON object, got {obj!r}")
+    if unknown := sorted(set(obj) - set(types)):
+        raise PanelFormatError(f"unknown key {unknown[0]!r}; accepted keys are {', '.join(types)}")
     out = {}
     for key, accepted in types.items():
         if key not in obj:
             if key in required:
-                raise PanelFormatError(f"{where}: missing key {key!r}")
+                raise PanelFormatError(f"missing key {key!r}")
             continue
         value = obj[key]
         if isinstance(value, bool) or not isinstance(value, accepted):
             names = " or ".join("null" if t is _NULL else t.__name__ for t in accepted)
-            raise PanelFormatError(f"{where}: key {key!r} must be {names}, got {value!r}")
+            raise PanelFormatError(f"key {key!r} must be {names}, got {value!r}")
         out[key] = float(value) if accepted is _NUMBER else value
     return out
 
 
 def _read_spec(path):
-    """Parse and type-check a spec file; returns it and the SimulationSpec arguments."""
+    """Parse and type-check a spec file; returns it and the SimulationSpec arguments, seed drawn if absent."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
     except ValueError as exc:
-        raise PanelFormatError(f"{path}: not a JSON spec ({exc})") from None
-    fields = _spec_fields(raw, _SPEC_TYPES, ("dgp", "settings", "replications"), str(path))
+        raise PanelFormatError(f"not a JSON spec ({exc})") from None
+    fields = _spec_fields(raw, _SPEC_TYPES, ("dgp", "settings", "replications"))
     settings = fields["settings"] = list(fields["settings"])  # a copy: the manifest records the spec as read
     for i, s in enumerate(settings):
-        where = f"{path}: settings[{i}]"
-        kwargs = _spec_fields(s, _SETTING_TYPES, ("p", "T", "sigma2"), where)  # its faults already name where
         try:
-            settings[i] = SimSetting(**kwargs)
+            settings[i] = SimSetting(**_spec_fields(s, _SETTING_TYPES, ("p", "T", "sigma2")))
         except InputError as exc:
-            raise type(exc)(f"{where}: {exc}") from None
+            raise type(exc)(f"settings[{i}]: {exc}") from None
     if not all(isinstance(m, str) for m in fields.get("methods", ())):
-        raise PanelFormatError(f"{path}: key 'methods' must be a list of strings")
+        raise PanelFormatError("key 'methods' must be a list of strings")
     if "l" in fields:
         fields["l_fixed"] = fields.pop("l")
+    if fields.get("seed") is None:
+        fields["seed"] = secrets.randbits(63)
     fields.setdefault("kind", "sse")
     return raw, fields
 
 
 def _cmd_simulate(args):
     _check_count("--workers", args.workers, 1, optional=True)
-    raw, fields = _read_spec(args.spec)
-    if fields.get("seed") is None:
-        fields["seed"] = secrets.randbits(63)
-    spec = SimulationSpec(**fields)
+    try:
+        raw, fields = _read_spec(args.spec)
+        spec = SimulationSpec(**fields)
+    except InputError as exc:  # every spec fault, from the JSON types to a setting's signal config
+        raise type(exc)(f"{args.spec}: {exc}") from None
     print(f"seed: {spec.seed}", flush=True)  # before any replication, so a study can be rerun
     summary = run_monte_carlo(spec, workers=args.workers)
     failed = [{"p": r.p, "T": r.T, "sigma2": r.sigma2, "theta_ar": r.theta_ar, "method": r.method,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, OrderError
 from .factor import FactorFit
-from .panel import SampleGrid, _readonly
+from .panel import SampleGrid, _is_count, _readonly
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class PiecewiseLinearCurve:
 
 def interpolate(fit_result: FactorFit, t: int) -> PiecewiseLinearCurve:
     """Piecewise-linear curve through the fitted values of curve t (1-based)."""
-    if not 1 <= t <= fit_result.T:
+    if not (_is_count(t) and 1 <= t <= fit_result.T):
         raise OrderError(f"curve index {t} out of range 1..{fit_result.T}")
     return PiecewiseLinearCurve(fit_result.grid, fit_result.signals[t - 1])
 
@@ -50,7 +50,10 @@ def evaluate(curve: PiecewiseLinearCurve, s):
     fills gaps with: exact knot hits return the stored knot value, and the
     boundary knot value extends constantly over [0, s_1] and [s_p, 1].
     """
-    s_arr = np.asarray(s, dtype=float)
+    try:
+        s_arr = np.asarray(s, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"evaluation points must be numbers, got {s!r}") from None
     if not np.all((0.0 <= s_arr) & (s_arr <= 1.0)):
         raise DomainError("evaluation points must lie in [0, 1]")
     out = np.interp(s_arr, curve.grid.points, curve.knot_values)
@@ -59,7 +62,7 @@ def evaluate(curve: PiecewiseLinearCurve, s):
 
 def dense_trace(curve: PiecewiseLinearCurve, n: int = 1000) -> np.ndarray:
     """(n, 2) array of (s, value) pairs on a uniform evaluation mesh."""
-    if n < 2:
+    if not (_is_count(n) and n >= 2):
         raise DimensionError("a trace needs at least two points")
     s = np.linspace(0.0, 1.0, n)
     return np.column_stack([s, evaluate(curve, s)])

@@ -241,6 +241,8 @@ def iid_noise_test(residuals, sel: FrequencySelection, sigma2: float | None = No
 
     Raises
     ------
+    DomainError
+        When ``sigma2`` is neither None nor a number.
     DegenerateVarianceError
         When the noise variance is estimated (or given) as <= 0, e.g.
         for an all-zero residual panel after a saturated fit, or when its
@@ -248,6 +250,8 @@ def iid_noise_test(residuals, sel: FrequencySelection, sigma2: float | None = No
     NumericalError
         When a periodogram ordinate xi, or a statistic, overflows the float range.
     """
+    if not (sigma2 is None or _is_number(sigma2)):
+        raise DomainError(f"sigma2 must be a number or None, got {sigma2!r}")
     values = _as_values(residuals)
     T, f = values.shape[0], sel.f
     with np.errstate(over="ignore", invalid="ignore"):

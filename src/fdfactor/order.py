@@ -18,7 +18,7 @@ import numpy as np
 from .diagnostics import FrequencySelection, _noise_statistics, _retained_dft, _second_differences
 from .errors import DimensionError, DomainError, OrderError
 from .factor import _fit_spectrum, _max_order
-from .panel import ObservationPanel, _readonly
+from .panel import ObservationPanel, _is_count, _is_number, _readonly
 from .spectral import EigenSystem, _CenteredSpectrum, _centered_eigh
 
 _KINDS = ("eigenvalue", "test-statistic")
@@ -67,7 +67,7 @@ class PlateauSuggestion(NamedTuple):
 
 def classic_scree(system: EigenSystem, l_max: int) -> ScreeCurve:
     """Descending Gram eigenvalues gamma_1 >= ... >= gamma_{l_max}."""
-    if not 1 <= l_max <= system.count:
+    if not (_is_count(l_max) and 1 <= l_max <= system.count):
         raise OrderError(f"l_max must lie in 1..{system.count}, got {l_max}")
     return ScreeCurve(np.arange(1, l_max + 1), system.gram_eigenvalues[:l_max], "eigenvalue")
 
@@ -92,7 +92,7 @@ def _scree_spectrum(spectrum: _CenteredSpectrum, l_max: int, sel: FrequencySelec
     order l, column j keeps ||R_j||^2 + sum_{k>l} A_kj^2, a sum of nonnegative terms.
     """
     T, p = spectrum.centered.shape
-    if not 1 <= l_max <= _max_order(T, p):
+    if not (_is_count(l_max) and 1 <= l_max <= _max_order(T, p)):
         raise OrderError(f"l_max must lie in 1..min(T-1, p) = {_max_order(T, p)}, got {l_max}")
     E = spectrum.leading_vectors(l_max, "t")
     C = np.ascontiguousarray(_retained_dft(spectrum.centered, sel)).view(float)
@@ -122,7 +122,7 @@ def suggest_plateau_L(curve: ScreeCurve, rel_tol: float = 0.1) -> PlateauSuggest
     """
     if curve.kind != "test-statistic":
         raise DomainError("the plateau rule applies to test-statistic screes")
-    if not 0.0 < rel_tol < 1.0:
+    if not (_is_number(rel_tol) and 0.0 < rel_tol < 1.0):
         raise DomainError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     v = curve.values
     l_max = curve.l_max

@@ -16,7 +16,6 @@ so results are reproducible bit for bit regardless of scheduling.
 
 from __future__ import annotations
 
-import contextvars
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -142,7 +141,7 @@ def _clamped_knots(K: int) -> np.ndarray:
 
 
 def bspline_basis(K: int, s):
-    """Clamped cubic B-spline basis on [0, 1], evaluated by Cox-de Boor.
+    """Clamped cubic B-spline basis on [0, 1]: Cox-de Boor, one array update per degree.
 
     Returns shape (K,) for scalar input and (n, K) for an array of n
     points.  The K functions are nonnegative and sum to one everywhere;
@@ -158,17 +157,11 @@ def bspline_basis(K: int, s):
     left, right = t[:-1], t[1:]
     B = ((left <= x) & (x < right)) | ((x == 1.0) & (right == 1.0) & (left < 1.0))
     B = B.astype(float)
-    for d in range(1, 4):
-        nb = B.shape[1] - 1
-        out = np.zeros((x.shape[0], nb))
-        for j in range(nb):
-            acc = 0.0
-            if t[j + d] > t[j]:
-                acc = (s_arr - t[j]) / (t[j + d] - t[j]) * B[:, j]
-            if t[j + d + 1] > t[j + 1]:
-                acc = acc + (t[j + d + 1] - s_arr) / (t[j + d + 1] - t[j + 1]) * B[:, j + 1]
-            out[:, j] = acc
-        B = out
+    for d in range(1, 4):  # column j of B is B_j of degree d - 1, which is +0.0 where t_j = t_{j+d}
+        span = t[d:] - t[:-d]  # a term over an empty span stays +0.0 and is never added
+        rise = np.divide(x - t[:-d], span, out=np.zeros(B.shape), where=span > 0) * B
+        fall = np.divide(t[d:] - x, span, out=np.zeros(B.shape), where=span > 0) * B
+        B = np.where(span[1:] > 0, rise[:, :-1] + fall[:, 1:], rise[:, :-1])
     return B[0] if np.ndim(s) == 0 else B
 
 
@@ -499,12 +492,12 @@ def run_monte_carlo(spec: SimulationSpec, workers: Optional[int] = None) -> Simu
     results are aggregated in replication order, so scheduling cannot affect
     the output.  ``workers`` (None for 1) must be an integer >= 1, else
     DomainError before any replication runs.  A setting runs in ``workers``
-    chunks: the caller runs the first in a fresh context, ``workers - 1`` pool
-    threads the rest, and ``workers`` draw threads fill each chunk's next arrays
-    with normals.  The next setting waits for this one's chunks, and the study
-    holds ``_one_blas_thread``.  A replication raising one of
-    ``REPLICATION_ERRORS`` counts as failed, by its exception's class name, and
-    is excluded; any other propagates.
+    chunks, each under numpy's default error state: the caller runs the first,
+    ``workers - 1`` pool threads the rest, and ``workers`` draw threads fill each
+    chunk's next arrays with normals.  The next setting waits for this one's
+    chunks, and the study holds ``_one_blas_thread``.  A replication raising one
+    of ``REPLICATION_ERRORS`` counts as failed, by its exception's class name,
+    and is excluded; any other propagates.
     """
     from concurrent.futures import ThreadPoolExecutor  # here, so that other commands never load it
 
@@ -517,10 +510,11 @@ def run_monte_carlo(spec: SimulationSpec, workers: Optional[int] = None) -> Simu
     def run_chunk(si, first):
         reps, out = range(R)[first:first + firsts.step], []
         ahead = draws.submit(_fill, *_normals(spec, si, reps[0]))
-        for ri in reps:  # replication ri computes while a draw thread fills ri + 1
-            normals = ahead.result()
-            ahead = draws.submit(_fill, *_normals(spec, si, ri + 1)) if ri + 1 in reps else None
-            out.append(runner(spec, spec.settings[si], normals))
+        with np.errstate(all="warn", under="ignore"):  # numpy's defaults, on the calling thread as in the pool
+            for ri in reps:  # replication ri computes while a draw thread fills ri + 1
+                normals = ahead.result()
+                ahead = draws.submit(_fill, *_normals(spec, si, ri + 1)) if ri + 1 in reps else None
+                out.append(runner(spec, spec.settings[si], normals))
         return out
 
     results = []
@@ -528,8 +522,7 @@ def run_monte_carlo(spec: SimulationSpec, workers: Optional[int] = None) -> Simu
           ThreadPoolExecutor(max(1, workers - 1)) as pool):  # closed first, while its chunks can still draw
         for si, setting in enumerate(spec.settings):
             rest = [pool.submit(run_chunk, si, first) for first in firsts[1:]]
-            with np.errstate(all="warn", under="ignore"):  # numpy's defaults: numpy 1.x keeps them per thread
-                cells = contextvars.Context().run(run_chunk, si, 0) + [c for f in rest for c in f.result()]
+            cells = run_chunk(si, 0) + [c for f in rest for c in f.result()]
             for method in cells[0]:  # spec.methods in order, or "noise-test"
                 good = [c[method] for c in cells if not isinstance(c[method], str)]
                 failed = [c[method] for c in cells if isinstance(c[method], str)]

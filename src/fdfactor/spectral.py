@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError, NumericalError, OrderError
-from .panel import ObservationPanel, SampleGrid, _readonly, _require_finite, _write_rows
+from .panel import ObservationPanel, SampleGrid, _is_count, _readonly, _require_finite, _write_rows
 
 
 def eigh_descending(matrix: np.ndarray):
@@ -198,7 +198,7 @@ def eigenfunction_estimate(system: EigenSystem, ell: int) -> StepFunction:
     non-equidistant grids the estimate is still returned but only
     approximately normalized, and a warning is emitted.
     """
-    if not 1 <= ell <= system.eigvecs.shape[1]:
+    if not (_is_count(ell) and 1 <= ell <= system.eigvecs.shape[1]):
         raise OrderError(
             f"eigenfunction index {ell} out of range 1..{system.eigvecs.shape[1]}"
         )

@@ -625,9 +625,9 @@ class TestSimulateSpecValidation:
     ], ids=["l_policy-auto", "replications-0"])
     def test_study_fault_exits_2_before_the_seed_line(self, tmp_path, capsys, monkeypatch, fields, message):
         calls = self.spy_runners(monkeypatch)
-        code, err, _, out = self.run(tmp_path, capsys, json.dumps({**self.BASE, **fields}))
+        code, err, path, out = self.run(tmp_path, capsys, json.dumps({**self.BASE, **fields}))
         assert (code, out) == (2, "")
-        assert err == f"error: {message}\n"
+        assert err == f"error: {path}: {message}\n"
         assert calls == [] and not (tmp_path / "sim").exists()
 
     @pytest.mark.parametrize("setting, message", [
@@ -648,9 +648,9 @@ class TestSimulateSpecValidation:
         calls = self.spy_runners(monkeypatch)
         settings = [{"p": 20, "T": 40, "sigma2": 0.05, "theta_ar": -0.5}]
         spec = {**self.BASE, "dgp": "smooth", "kind": "noise-test", "settings": settings}
-        code, err, _, out = self.run(tmp_path, capsys, json.dumps(spec))
+        code, err, path, out = self.run(tmp_path, capsys, json.dumps(spec))
         assert (code, out) == (2, "")
-        assert err == "error: settings[0]: theta_ar must lie in [0, 1) for the smooth DGP, got -0.5\n"
+        assert err == f"error: {path}: settings[0]: theta_ar must lie in [0, 1) for the smooth DGP, got -0.5\n"
         assert calls == [] and not (tmp_path / "sim").exists()
 
     @pytest.mark.parametrize("fields, key", [
@@ -661,18 +661,18 @@ class TestSimulateSpecValidation:
     def test_empty_study_list_exits_2_before_the_seed_line_and_any_replication(
             self, tmp_path, capsys, monkeypatch, fields, key):
         calls = self.spy_runners(monkeypatch)
-        code, err, _, out = self.run(tmp_path, capsys, json.dumps({**self.BASE, **fields}))
+        code, err, path, out = self.run(tmp_path, capsys, json.dumps({**self.BASE, **fields}))
         assert (code, out) == (2, "")
-        assert err == f"error: {key} must list at least one entry\n"
+        assert err == f"error: {path}: {key} must list at least one entry\n"
         assert calls == [] and not (tmp_path / "sim").exists()
 
     def test_signal_variance_beyond_the_float_range_exits_2_naming_it(self, tmp_path, capsys, monkeypatch):
         # 1e400 parses to inf; no replication may run on it, or warn on stderr
         calls = self.spy_runners(monkeypatch)
         text = json.dumps({**self.BASE, "dgp": "smooth"})[:-1] + ', "signal_variance": 1e400}'
-        code, err, _, out = self.run(tmp_path, capsys, text)
+        code, err, path, out = self.run(tmp_path, capsys, text)
         assert (code, out) == (2, "")
-        assert err == "error: settings[0]: signal_variance must be finite and nonnegative, got inf\n"
+        assert err == f"error: {path}: settings[0]: signal_variance must be finite and nonnegative, got inf\n"
         assert calls == [] and not (tmp_path / "sim").exists()
 
     def test_signal_variance_overflowing_the_coefficient_variances_exits_2_naming_it(
@@ -680,18 +680,29 @@ class TestSimulateSpecValidation:
         # finite, but over _quadrature_variance(8) it overflows: the panel's non-finite cell used to escape
         calls = self.spy_runners(monkeypatch)
         text = json.dumps({**self.BASE, "dgp": "smooth", "smooth_K": 8, "signal_variance": 1e308})
-        code, err, _, out = self.run(tmp_path, capsys, text)
+        code, err, path, out = self.run(tmp_path, capsys, text)
         assert (code, out) == (2, "")
-        assert err == ("error: settings[0]: signal_variance must keep the K=8 coefficient variances "
+        assert err == (f"error: {path}: settings[0]: signal_variance must keep the K=8 coefficient variances "
                        "within the float range, got 1e+308\n")
         assert calls == [] and not (tmp_path / "sim").exists()
 
     def test_smooth_k_below_four_is_named_once_for_the_whole_spec(self, tmp_path, capsys):
         settings = [{"p": 20, "T": 40, "sigma2": 0.05}, {"p": 30, "T": 40, "sigma2": 0.05}]
         text = json.dumps({**self.BASE, "dgp": "smooth", "settings": settings, "smooth_K": 3})
-        code, err, _, out = self.run(tmp_path, capsys, text)
+        code, err, path, out = self.run(tmp_path, capsys, text)
         assert (code, out) == (2, "")
-        assert err == "error: smooth_K must be >= 4 for the cubic spline basis, got 3\n"
+        assert err == f"error: {path}: smooth_K must be >= 4 for the cubic spline basis, got 3\n"
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"replications": "ten"}, "key 'replications' must be int, got 'ten'"),
+        ({"settings": [{"p": 1, "T": 40, "sigma2": 0.05}]}, "settings[0]: a setting needs p >= 2 and T >= 2"),
+        ({"l_policy": "auto"}, "unknown L policy 'auto'"),
+        ({"settings": [{"p": 2, "T": 40, "sigma2": 0.05}]}, "settings[0]: rough DGP needs p >= 3, got 2"),
+    ], ids=["json-type", "setting", "study-key", "signal-config"])
+    def test_every_spec_fault_names_the_file_once(self, tmp_path, capsys, fields, message):
+        code, err, path, out = self.run(tmp_path, capsys, json.dumps({**self.BASE, **fields}))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: {message}") and err.count(path) == 1
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exits_2_before_the_seed_line(

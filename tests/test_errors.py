@@ -17,10 +17,22 @@ from fdfactor import (
     SampleGrid,
     ScreeCurve,
     StepFunction,
+    annotate_suggestion,
+    classic_scree,
+    dense_trace,
+    eigenfunction_estimate,
+    empirical_eigensystem,
     errors,
+    evaluate,
+    fit,
+    iid_noise_test,
+    interpolate,
+    lambda_scree,
     residual_acf,
     residual_covariance,
     save_panel,
+    select_frequencies,
+    suggest_plateau_L,
 )
 from fdfactor.cli import main
 from fdfactor.errors import InputError, NumericalError
@@ -78,6 +90,9 @@ def test_a_replication_fails_under_the_name_of_its_error(tmp_path, capsys, monke
 
 
 GRID = SampleGrid.midpoints(4)
+PANEL = ObservationPanel(np.random.default_rng(1).standard_normal((10, 8)), SampleGrid.midpoints(8))
+CURVE = PiecewiseLinearCurve(GRID, np.arange(4.0))
+SCREE = ScreeCurve(np.arange(1, 6), np.array([9.0, 1.0, 0.9, 0.95, 0.92]), "test-statistic")
 
 #: guards that no other test reaches: the call, the class it raises and its whole text
 GUARDS = {
@@ -98,6 +113,26 @@ GUARDS = {
                          "rough DGP needs T >= 2, got 1"),
     "StepFunction-size": (lambda: StepFunction(GRID, np.ones(3)), errors.DimensionError,
                           "3 levels for a grid of 4 points"),
+    # public scalar arguments of the wrong kind
+    "interpolate-1.5": (lambda: interpolate(fit(PANEL, 2), 1.5), errors.OrderError,
+                        r"curve index 1\.5 out of range 1\.\.10"),
+    "interpolate-True": (lambda: interpolate(fit(PANEL, 2), True), errors.OrderError,
+                         r"curve index True out of range 1\.\.10"),
+    "eigenfunction_estimate-1.5": (lambda: eigenfunction_estimate(empirical_eigensystem(PANEL), 1.5),
+                                   errors.OrderError, r"eigenfunction index 1\.5 out of range 1\.\.8"),
+    "dense_trace-2.5": (lambda: dense_trace(CURVE, 2.5), errors.DimensionError, "a trace needs at least two points"),
+    "dense_trace-str": (lambda: dense_trace(CURVE, "5"), errors.DimensionError, "a trace needs at least two points"),
+    "classic_scree-2.5": (lambda: classic_scree(empirical_eigensystem(PANEL), 2.5), errors.OrderError,
+                          r"l_max must lie in 1\.\.8, got 2\.5"),
+    "lambda_scree-2.5": (lambda: lambda_scree(PANEL, 2.5, select_frequencies(8, 0.0)), errors.OrderError,
+                         r"l_max must lie in 1\.\.min\(T-1, p\) = 8, got 2\.5"),
+    "suggest_plateau_L-str": (lambda: suggest_plateau_L(SCREE, rel_tol="0.1"), errors.DomainError,
+                              r"rel_tol must lie in \(0, 1\), got 0\.1"),
+    "annotate_suggestion-str": (lambda: annotate_suggestion(SCREE, "0.1"), errors.DomainError,
+                                r"rel_tol must lie in \(0, 1\), got 0\.1"),
+    "iid_noise_test-str": (lambda: iid_noise_test(PANEL, select_frequencies(8, 0.0), sigma2="1"),
+                           errors.DomainError, "sigma2 must be a number or None, got '1'"),
+    "evaluate-str": (lambda: evaluate(CURVE, "x"), errors.DomainError, "evaluation points must be numbers, got 'x'"),
 }
 
 
@@ -107,3 +142,4 @@ def test_each_guard_raises_its_class_with_its_text(guard):
     with pytest.raises(cls, match=f"^{text}$") as caught:
         call()
     assert type(caught.value) is cls
+

@@ -39,6 +39,7 @@ from fdfactor import (
 )
 from fdfactor.diagnostics import _selection
 from fdfactor.simulate import (
+    _clamped_knots,
     _quadrature_variance,
     _spline_projector,
     coefficient_variances,
@@ -54,6 +55,27 @@ def ar1_column_loop(p, T, theta_ar, sigma, rng):
     for j in range(1, p):
         U[:, j] = theta_ar * U[:, j - 1] + sigma * rng.standard_normal(T)
     return U
+
+
+def bspline_column_loop(K, s):
+    """Cox-de Boor one basis function at a time, adding only the terms over nonempty knot spans."""
+    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+    t = _clamped_knots(K)
+    x = s_arr[:, None]
+    left, right = t[:-1], t[1:]
+    B = (((left <= x) & (x < right)) | ((x == 1.0) & (right == 1.0) & (left < 1.0))).astype(float)
+    for d in range(1, 4):
+        nb = B.shape[1] - 1
+        out = np.zeros((x.shape[0], nb))
+        for j in range(nb):
+            acc = 0.0
+            if t[j + d] > t[j]:
+                acc = (s_arr - t[j]) / (t[j + d] - t[j]) * B[:, j]
+            if t[j + d + 1] > t[j + 1]:
+                acc = acc + (t[j + d + 1] - s_arr) / (t[j + d + 1] - t[j + 1]) * B[:, j + 1]
+            out[:, j] = acc
+        B = out
+    return B[0] if np.ndim(s) == 0 else B
 
 
 class TestRoughComponents:
@@ -126,6 +148,16 @@ class TestBsplineBasis:
             knots = np.concatenate([np.zeros(4), inner, np.ones(4)])
             reference = BSpline.design_matrix(s, knots, 3, extrapolate=False).toarray()
             assert np.max(np.abs(bspline_basis(K, s) - reference)) < 1e-12
+
+    def test_matches_the_column_loop_bit_for_bit(self):
+        # every entry and its sign bit, signed zeros included, on the grids the package evaluates
+        points = [(np.arange(4001) + 0.5) / 4001, SampleGrid.midpoints(20).points,
+                  SampleGrid.midpoints(365).points, np.random.default_rng(3).random(200), 0.0, 1.0, 0.37]
+        for K in range(4, 61):
+            for s in [*points, _clamped_knots(K)]:
+                got, want = bspline_basis(K, s), bspline_column_loop(K, s)
+                assert got.shape == want.shape
+                assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), (K, s)
 
     def test_domain_and_size(self):
         with pytest.raises(DomainError):
