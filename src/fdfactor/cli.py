@@ -19,6 +19,7 @@ usage/input problems, 3 numerical failures, by the bases ``errors`` states.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -215,72 +216,48 @@ def _cmd_diagnose(args):
     return files, (params, {"input": input_path}), None
 
 
-_NUMBER = (int, float)
-_NULL = type(None)
-#: accepted JSON types of the spec keys ``simulate`` reads; an optional key
-#: left out takes its SimulationSpec or SimSetting default
-_SPEC_TYPES = {
-    "dgp": (str,), "kind": (str,), "settings": (list,), "replications": (int,),
-    "seed": (int, _NULL), "methods": (list,), "l_policy": (str,), "l": (int,),
-    "scree_l_max": (int,), "cutoff": _NUMBER, "thinning": (int, _NULL),
-    "smooth_K": (int,), "signal_variance": _NUMBER,
-}
-_SETTING_TYPES = {"p": (int,), "T": (int,), "sigma2": _NUMBER, "theta_ar": _NUMBER}
+def _spec_fields(obj, cls, defaults: dict) -> dict:
+    """The ``cls`` fields that a JSON object gives, an integer as a float in a float field; faults name the key.
 
-
-def _spec_fields(obj, types: dict, required) -> dict:
-    """Keys of a JSON object that are present, numbers as floats; faults name the key.
-
-    A key outside ``types`` is a fault too, so a misspelt key never runs on a default.
+    The keys are the field names, ``l`` for ``l_fixed`` and no ``levels``; any other key is a fault, so a
+    misspelt key never runs on a default.  Each field's type and range are the dataclass's own rule.
     """
     if not isinstance(obj, dict):
         raise PanelFormatError(f"expected a JSON object, got {obj!r}")
-    if unknown := sorted(set(obj) - set(types)):
-        raise PanelFormatError(f"unknown key {unknown[0]!r}; accepted keys are {', '.join(types)}")
-    out = {}
-    for key, accepted in types.items():
-        if key not in obj:
-            if key in required:
-                raise PanelFormatError(f"missing key {key!r}")
-            continue
-        value = obj[key]
-        if isinstance(value, bool) or not isinstance(value, accepted):
-            names = " or ".join("null" if t is _NULL else t.__name__ for t in accepted)
-            raise PanelFormatError(f"key {key!r} must be {names}, got {value!r}")
-        out[key] = float(value) if accepted is _NUMBER else value
-    return out
+    keys = {{"l_fixed": "l"}.get(f.name, f.name): f for f in dataclasses.fields(cls) if f.name != "levels"}
+    if unknown := sorted(set(obj) - set(keys)):
+        raise PanelFormatError(f"unknown key {unknown[0]!r}; accepted keys are {', '.join(keys)}")
+    obj = {**defaults, **obj}
+    if missing := [k for k, f in keys.items() if k not in obj and f.default is dataclasses.MISSING]:
+        raise PanelFormatError(f"missing key {missing[0]!r}")
+    return {f.name: float(obj[k]) if f.type == "float" and type(obj[k]) is int else obj[k]
+            for k, f in keys.items() if k in obj}
 
 
 def _read_spec(path):
-    """Parse and type-check a spec file; returns it and the SimulationSpec arguments, seed drawn if absent."""
+    """The JSON object of a spec file and its SimulationSpec, the seed drawn if absent."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
     except ValueError as exc:
         raise PanelFormatError(f"not a JSON spec ({exc})") from None
-    fields = _spec_fields(raw, _SPEC_TYPES, ("dgp", "settings", "replications"))
+    fields = _spec_fields(raw, SimulationSpec, {"kind": "sse", "seed": None})
+    if not isinstance(fields["settings"], list):
+        raise PanelFormatError(f"settings must be a list, got {fields['settings']!r}")
     settings = fields["settings"] = list(fields["settings"])  # a copy: the manifest records the spec as read
     for i, s in enumerate(settings):
         try:
-            settings[i] = SimSetting(**_spec_fields(s, _SETTING_TYPES, ("p", "T", "sigma2")))
+            settings[i] = SimSetting(**_spec_fields(s, SimSetting, {}))
         except InputError as exc:
             raise type(exc)(f"settings[{i}]: {exc}") from None
-    if not all(isinstance(m, str) for m in fields.get("methods", ())):
-        raise PanelFormatError("key 'methods' must be a list of strings")
-    if "l" in fields:
-        fields["l_fixed"] = fields.pop("l")
-    if fields.get("seed") is None:
-        fields["seed"] = secrets.randbits(63)
-    fields.setdefault("kind", "sse")
-    return raw, fields
+    return raw, SimulationSpec(**{**fields, "seed": secrets.randbits(63) if fields["seed"] is None else fields["seed"]})
 
 
 def _cmd_simulate(args):
     _check_count("--workers", args.workers, 1, optional=True)
     try:
-        raw, fields = _read_spec(args.spec)
-        spec = SimulationSpec(**fields)
-    except InputError as exc:  # every spec fault, from the JSON types to a setting's signal config
+        raw, spec = _read_spec(args.spec)
+    except InputError as exc:  # every spec fault, from the JSON to a setting's signal config
         raise type(exc)(f"{args.spec}: {exc}") from None
     print(f"seed: {spec.seed}", flush=True)  # before any replication, so a study can be rerun
     summary = run_monte_carlo(spec, workers=args.workers)

@@ -24,7 +24,7 @@ from .errors import (
     DomainError,
     SelectionError,
 )
-from .panel import ObservationPanel, _is_count, _is_number, _readonly, _require_finite
+from .panel import ObservationPanel, _is_count, _is_number, _readonly, _require_finite, _shown
 
 
 def _as_values(residuals) -> np.ndarray:
@@ -123,9 +123,9 @@ def select_frequencies(p: int, cutoff: float = 0.1, thinning: int = 1) -> Freque
 def _check_selection(cutoff: float, thinning) -> None:
     """Raise DomainError unless cutoff is in [0, 1) and thinning an integer >= 1."""
     if not (_is_number(cutoff) and 0.0 <= cutoff < 1.0):
-        raise DomainError(f"cutoff must lie in [0, 1), got {cutoff}")
+        raise DomainError(f"cutoff must lie in [0, 1), got {_shown(cutoff)}")
     if not (_is_count(thinning) and thinning >= 1):
-        raise DomainError(f"thinning must be a positive integer, got {thinning}")
+        raise DomainError(f"thinning must be a positive integer, got {_shown(thinning)}")
 
 
 def auto_thinning(p: int, T: int, cutoff: float = 0.1, max_ratio: float = 0.3) -> int:
@@ -348,7 +348,7 @@ def ar1_spectral_density(theta_coef: float, sigma: float, theta: float) -> float
 def _check_ar1(name: str, theta: float, smooth: bool = False) -> None:
     """Raise DomainError unless |theta| < 1, which keeps an AR(1) stationary; the smooth DGP takes [0, 1)."""
     if not (_is_number(theta) and (0.0 <= theta < 1.0 if smooth else abs(theta) < 1.0)):
-        raise DomainError(f"{name} must lie in {'[0, 1) for the smooth DGP' if smooth else '(-1, 1)'}, got {theta}")
+        raise DomainError(f"{name} must lie in {'[0, 1) for the smooth DGP' if smooth else '(-1, 1)'}, got {_shown(theta)}")
 
 
 # ---------------------------------------------------------------------------

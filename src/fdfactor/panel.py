@@ -72,6 +72,11 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
 
 
+def _shown(x) -> str:
+    """``x`` as a fault text prints it: a number as ``str`` prints it, numpy scalars too, else its repr, quotes kept."""
+    return str(x) if _is_number(x) else repr(x)
+
+
 def _reject_cells(bad: np.ndarray, fault: str = "non-finite value at row {r}, column {c}") -> None:
     """Raise PanelFormatError naming the first flagged cell of a table, in row order."""
     if bad.any():

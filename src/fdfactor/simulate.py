@@ -26,7 +26,7 @@ from .diagnostics import _check_ar1, _check_selection, _selection, iid_noise_tes
 from .errors import DimensionError, DomainError, InputError, NumericalError
 from .factor import _max_order, fit
 from .order import plateau_fit
-from .panel import ObservationPanel, SampleGrid, _frozen, _is_count, _is_number, _require_finite, _write_rows
+from .panel import ObservationPanel, SampleGrid, _frozen, _is_count, _is_number, _require_finite, _shown, _write_rows
 from .spectral import _one_blas_thread
 
 #: pinned random-number recipe, recorded in manifests so that
@@ -46,13 +46,13 @@ REPLICATION_ERRORS = (InputError, NumericalError)
 def _check_scale(name: str, value: float) -> None:
     """Raise DomainError unless a variance or a standard deviation is finite and nonnegative."""
     if not (_is_number(value) and 0 <= value < np.inf):
-        raise DomainError(f"{name} must be finite and nonnegative, got {value}")
+        raise DomainError(f"{name} must be finite and nonnegative, got {_shown(value)}")
 
 
 def _check_count(name: str, n, least: int, optional: bool = False) -> None:
     """Raise DomainError unless ``n`` is an integer >= least, or None where it is optional."""
     if not (optional and n is None or _is_count(n) and n >= least):
-        raise DomainError(f"{name} must be {f'>= {least}' if least else 'nonnegative'}, got {n}")
+        raise DomainError(f"{name} must be {f'>= {least}' if least else 'nonnegative'}, got {_shown(n)}")
 
 
 def _rng(seed_or_rng) -> np.random.Generator:
@@ -150,7 +150,7 @@ def bspline_basis(K: int, s):
     if not (_is_count(K) and K >= 4):
         raise DimensionError(f"cubic B-splines need K >= 4 basis functions, got {K}")
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    if np.any(s_arr < 0.0) or np.any(s_arr > 1.0):
+    if not np.all((0.0 <= s_arr) & (s_arr <= 1.0)):  # NaN too
         raise DomainError("B-spline evaluation points must lie in [0, 1]")
     t = _clamped_knots(K)
     x = s_arr[:, None]
@@ -334,8 +334,9 @@ class SimSetting:
 
     def __post_init__(self):
         if not (_is_count(self.p) and _is_count(self.T) and self.p >= 2 and self.T >= 2):
-            raise DimensionError(f"a setting needs p >= 2 and T >= 2, got p={self.p}, T={self.T}")
+            raise DimensionError(f"a setting needs p >= 2 and T >= 2, got p={_shown(self.p)}, T={_shown(self.T)}")
         _check_scale("sigma2", self.sigma2)
+        _check_ar1("theta_ar", self.theta_ar)
 
 
 @dataclass(frozen=True)
@@ -369,20 +370,23 @@ class SimulationSpec:
             raise DomainError(f"unknown study kind {self.kind!r}")
         if self.l_policy not in ("fixed", "plateau"):
             raise DomainError(f"unknown L policy {self.l_policy!r}")
-        if empty := [k for k in ("settings", "methods") if not getattr(self, k)]:
-            raise DomainError(f"{empty[0]} must list at least one entry")
+        for name, entry, entries in (("settings", SimSetting, "SimSetting"), ("methods", str, "method names")):
+            value = getattr(self, name)
+            if not (isinstance(value, (list, tuple)) and value and all(isinstance(v, entry) for v in value)):
+                raise DomainError(f"{name} must be a nonempty list of {entries}, got {value!r}")
+            object.__setattr__(self, name, tuple(value))
         if unknown := set(self.methods) - {"pca", "bspline"}:
             raise DomainError(f"unknown methods {sorted(unknown)}")
         if repeated := [m for i, m in enumerate(self.methods) if m in self.methods[:i]]:
             raise DomainError(f"method {repeated[0]!r} is listed more than once")
-        if not (_is_count(self.replications) and self.replications >= 1):
-            raise DomainError("replications must be >= 1")
+        _check_count("replications", self.replications, 1)
         _check_count("seed", self.seed, 0)
         _check_selection(self.cutoff, 1 if self.thinning is None else self.thinning)  # None: automatic
         _check_count("l_fixed (spec key 'l')", self.l_fixed, 1)
         _check_count("scree_l_max", self.scree_l_max, 4)
-        if self.kind == "sse" and self.dgp == "smooth" and not (_is_count(self.smooth_K) and self.smooth_K >= 4):
-            raise DimensionError(f"smooth_K must be >= 4 for the cubic spline basis, got {self.smooth_K}")
+        if not (_is_count(self.smooth_K) and self.smooth_K >= 4):
+            raise DimensionError(f"smooth_K must be >= 4 for the cubic spline basis, got {_shown(self.smooth_K)}")
+        _check_scale("signal_variance", self.signal_variance)
         if tuple(self.levels) != _LEVELS:
             raise DomainError(f"levels must be {_LEVELS}, got {tuple(self.levels)}")
         for i, s in enumerate(self.settings):
@@ -393,8 +397,7 @@ class SimulationSpec:
                      SmoothDgpConfig(s.p, s.T, float(np.sqrt(s.sigma2)), s.theta_ar, self.smooth_K, self.signal_variance))
             except InputError as exc:
                 raise type(exc)(f"settings[{i}]: {exc}") from None
-        for name in ("settings", "methods", "levels"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "levels", tuple(self.levels))
 
 
 @dataclass(frozen=True)

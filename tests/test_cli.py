@@ -534,24 +534,41 @@ class TestSimulateSpecValidation:
                                       json.dumps({**self.BASE, "settings": [setting]}))
         assert code == 2 and path in err and "settings[0]" in err and repr(key) in err
 
-    @pytest.mark.parametrize("key, value", [
-        ("replications", "ten"), ("replications", 2.5), ("seed", "x"), ("seed", True),
-        ("settings", {"p": 20}), ("settings", [7]), ("dgp", 3), ("methods", "pca"),
-        ("methods", [["pca"]]), ("cutoff", "0.1"), ("thinning", "3"), ("l", 2.0),
-        ("scree_l_max", None), ("smooth_K", "21"), ("signal_variance", [25]),
+    # each text is the field's own SimulationSpec or SimSetting rule, a string value in its quotes
+    @pytest.mark.parametrize("key, value, message", [
+        ("replications", "ten", "replications must be >= 1, got 'ten'"),
+        ("replications", 2.5, "replications must be >= 1, got 2.5"),
+        ("seed", "x", "seed must be nonnegative, got 'x'"),
+        ("seed", True, "seed must be nonnegative, got True"),
+        ("settings", {"p": 20}, "settings must be a list, got {'p': 20}"),
+        ("settings", [7], "settings[0]: expected a JSON object, got 7"),
+        ("dgp", 3, "unknown dgp 3"),
+        ("methods", "pca", "methods must be a nonempty list of method names, got 'pca'"),
+        ("methods", [["pca"]], "methods must be a nonempty list of method names, got [['pca']]"),
+        ("cutoff", "0.1", "cutoff must lie in [0, 1), got '0.1'"),
+        ("thinning", "3", "thinning must be a positive integer, got '3'"),
+        ("l", 2.0, "l_fixed (spec key 'l') must be >= 1, got 2.0"),
+        ("scree_l_max", None, "scree_l_max must be >= 4, got None"),
+        ("smooth_K", "21", "smooth_K must be >= 4 for the cubic spline basis, got '21'"),
+        ("signal_variance", [25], "signal_variance must be finite and nonnegative, got [25]"),
     ])
-    def test_wrongly_typed_field_exits_2(self, tmp_path, capsys, key, value):
+    def test_wrongly_typed_field_exits_2(self, tmp_path, capsys, key, value, message):
         code, err, path, _ = self.run(tmp_path, capsys, json.dumps({**self.BASE, key: value}))
-        assert code == 2 and path in err
-        assert repr(key) in err or "settings[0]" in err
+        assert key in message and (not isinstance(value, str) or repr(value) in message)
+        assert (code, err) == (2, f"error: {path}: {message}\n")
 
-    @pytest.mark.parametrize("key, value", [("p", "20"), ("T", 40.5), ("sigma2", None),
-                                            ("theta_ar", "0.2")])
-    def test_wrongly_typed_setting_exits_2(self, tmp_path, capsys, key, value):
+    @pytest.mark.parametrize("key, value, message", [
+        ("p", "20", "a setting needs p >= 2 and T >= 2, got p='20', T=40"),
+        ("T", 40.5, "a setting needs p >= 2 and T >= 2, got p=20, T=40.5"),
+        ("sigma2", None, "sigma2 must be finite and nonnegative, got None"),
+        ("theta_ar", "0.2", "theta_ar must lie in (-1, 1), got '0.2'"),
+    ])
+    def test_wrongly_typed_setting_exits_2(self, tmp_path, capsys, key, value, message):
         setting = {**self.BASE["settings"][0], key: value}
         code, err, path, _ = self.run(tmp_path, capsys,
                                       json.dumps({**self.BASE, "settings": [setting]}))
-        assert code == 2 and path in err and "settings[0]" in err and repr(key) in err
+        assert key in message and (not isinstance(value, str) or repr(value) in message)
+        assert (code, err) == (2, f"error: {path}: settings[0]: {message}\n")
 
     @pytest.mark.parametrize("key, value", [("l_fixed", 5), ("l_polcy", "plateau")])
     def test_unknown_key_exits_2(self, tmp_path, capsys, key, value):
@@ -621,7 +638,7 @@ class TestSimulateSpecValidation:
 
     @pytest.mark.parametrize("fields, message", [
         ({"l_policy": "auto"}, "unknown L policy 'auto'"),
-        ({"replications": 0}, "replications must be >= 1"),
+        ({"replications": 0}, "replications must be >= 1, got 0"),
     ], ids=["l_policy-auto", "replications-0"])
     def test_study_fault_exits_2_before_the_seed_line(self, tmp_path, capsys, monkeypatch, fields, message):
         calls = self.spy_runners(monkeypatch)
@@ -653,17 +670,17 @@ class TestSimulateSpecValidation:
         assert err == f"error: {path}: settings[0]: theta_ar must lie in [0, 1) for the smooth DGP, got -0.5\n"
         assert calls == [] and not (tmp_path / "sim").exists()
 
-    @pytest.mark.parametrize("fields, key", [
-        ({"settings": []}, "settings"),
-        ({"methods": []}, "methods"),
-        ({"kind": "noise-test", "settings": []}, "settings"),
+    @pytest.mark.parametrize("fields, message", [
+        ({"settings": []}, "settings must be a nonempty list of SimSetting, got []"),
+        ({"methods": []}, "methods must be a nonempty list of method names, got []"),
+        ({"kind": "noise-test", "settings": []}, "settings must be a nonempty list of SimSetting, got []"),
     ], ids=["settings", "methods", "noise-test-settings"])
     def test_empty_study_list_exits_2_before_the_seed_line_and_any_replication(
-            self, tmp_path, capsys, monkeypatch, fields, key):
+            self, tmp_path, capsys, monkeypatch, fields, message):
         calls = self.spy_runners(monkeypatch)
         code, err, path, out = self.run(tmp_path, capsys, json.dumps({**self.BASE, **fields}))
         assert (code, out) == (2, "")
-        assert err == f"error: {path}: {key} must list at least one entry\n"
+        assert err == f"error: {path}: {message}\n"
         assert calls == [] and not (tmp_path / "sim").exists()
 
     def test_signal_variance_beyond_the_float_range_exits_2_naming_it(self, tmp_path, capsys, monkeypatch):
@@ -672,7 +689,7 @@ class TestSimulateSpecValidation:
         text = json.dumps({**self.BASE, "dgp": "smooth"})[:-1] + ', "signal_variance": 1e400}'
         code, err, path, out = self.run(tmp_path, capsys, text)
         assert (code, out) == (2, "")
-        assert err == f"error: {path}: settings[0]: signal_variance must be finite and nonnegative, got inf\n"
+        assert err == f"error: {path}: signal_variance must be finite and nonnegative, got inf\n"
         assert calls == [] and not (tmp_path / "sim").exists()
 
     def test_signal_variance_overflowing_the_coefficient_variances_exits_2_naming_it(
@@ -694,7 +711,7 @@ class TestSimulateSpecValidation:
         assert err == f"error: {path}: smooth_K must be >= 4 for the cubic spline basis, got 3\n"
 
     @pytest.mark.parametrize("fields, message", [
-        ({"replications": "ten"}, "key 'replications' must be int, got 'ten'"),
+        ({"replications": "ten"}, "replications must be >= 1, got 'ten'"),
         ({"settings": [{"p": 1, "T": 40, "sigma2": 0.05}]}, "settings[0]: a setting needs p >= 2 and T >= 2"),
         ({"l_policy": "auto"}, "unknown L policy 'auto'"),
         ({"settings": [{"p": 2, "T": 40, "sigma2": 0.05}]}, "settings[0]: rough DGP needs p >= 3, got 2"),

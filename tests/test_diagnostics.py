@@ -106,7 +106,7 @@ class TestFrequencySelection:
     @pytest.mark.parametrize("cutoff", [1.0, -0.1, float("nan"), "0.1", None])  # the last two were a bare TypeError
     def test_cutoff_outside_zero_one_is_a_domain_error(self, cutoff):
         # at cutoff 1 no frequency survives, but the cutoff, not the selection, is at fault
-        with pytest.raises(DomainError, match=rf"^cutoff must lie in \[0, 1\), got {cutoff}$"):
+        with pytest.raises(DomainError, match=rf"^cutoff must lie in \[0, 1\), got {cutoff!r}$"):
             select_frequencies(20, cutoff, 1)
 
     @pytest.mark.parametrize("thinning", [2.5, 2.0, None, 0])
@@ -486,7 +486,7 @@ class TestAr1SpectralDensity:
             ar1_spectral_density(0.5, 0.0, 0.3)
 
     @pytest.mark.parametrize("args, text", [
-        (("0.2", 1.0, 0.5), r"AR\(1\) coefficient must lie in \(-1, 1\), got 0.2"),
+        (("0.2", 1.0, 0.5), r"AR\(1\) coefficient must lie in \(-1, 1\), got '0.2'"),
         ((0.2, "1.0", 0.5), "innovation scale must be positive, got 1.0"),
     ], ids=["theta_coef", "sigma"])
     def test_a_non_number_is_a_domain_error(self, args, text):

@@ -1,3 +1,4 @@
+import re
 import signal
 import subprocess
 import sys
@@ -38,6 +39,7 @@ from fdfactor import (
     suggest_plateau_L,
 )
 from fdfactor.diagnostics import _selection
+from fdfactor.errors import InputError
 from fdfactor.simulate import (
     _clamped_knots,
     _quadrature_variance,
@@ -160,8 +162,9 @@ class TestBsplineBasis:
                 assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), (K, s)
 
     def test_domain_and_size(self):
-        with pytest.raises(DomainError):
-            bspline_basis(8, 1.2)
+        for s in (1.2, np.nan, np.array([0.2, np.nan, 0.7])):  # NaN used to give rows of NaN
+            with pytest.raises(DomainError, match=r"^B-spline evaluation points must lie in \[0, 1\]$"):
+                bspline_basis(8, s)
         with pytest.raises(DimensionError):
             bspline_basis(3, 0.5)
 
@@ -285,13 +288,20 @@ class TestScaleRule:
         "SmoothDgpConfig.signal_variance":
             ("signal_variance", lambda v: SmoothDgpConfig(p=24, T=10, sigma=1.0, signal_variance=v)),
         "gen_ar1_noise.sigma": ("sigma", lambda v: gen_ar1_noise(4, 3, 0.0, v, 0)),
+        # a study checks its signal_variance whatever its kind or dgp: each used to pass unchecked
+        "SimulationSpec.signal_variance": ("signal_variance", lambda v: SimulationSpec(
+            dgp="rough", kind="sse", replications=1, seed=1, settings=[SimSetting(p=20, T=30, sigma2=0.1)],
+            signal_variance=v)),
+        "SimulationSpec.signal_variance-noise-test": ("signal_variance", lambda v: SimulationSpec(
+            dgp="smooth", kind="noise-test", replications=1, seed=1, settings=[SimSetting(p=20, T=30, sigma2=0.1)],
+            signal_variance=v)),
     }
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, "x", True])  # "x" was a TypeError, True a scale of 1
     def test_non_finite_or_negative_scale_is_rejected_with_one_text(self, entry, value):
         name, build = self.ENTRY_POINTS[entry]
-        with pytest.raises(DomainError, match=rf"^{name} must be finite and nonnegative, got {value}$"):
+        with pytest.raises(DomainError, match=rf"^{name} must be finite and nonnegative, got {value!r}$"):
             build(value)
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
@@ -299,7 +309,7 @@ class TestScaleRule:
         self.ENTRY_POINTS[entry][1](0.0)
 
     @pytest.mark.parametrize("setting, spec, text", [
-        ({"theta_ar": "0.2"}, {}, r"settings\[0\]: theta_ar must lie in \(-1, 1\), got 0.2"),
+        ({"theta_ar": "0.2"}, {}, r"theta_ar must lie in \(-1, 1\), got '0.2'"),
         ({}, {"cutoff": None}, r"cutoff must lie in \[0, 1\), got None"),
     ], ids=["theta_ar", "cutoff"])
     def test_a_non_number_in_a_spec_is_a_domain_error(self, setting, spec, text):
@@ -323,7 +333,7 @@ class TestSeedRule:
     @pytest.mark.parametrize("value", [1.5, -3, True, "1"])
     def test_a_seed_that_is_not_a_nonnegative_integer_is_rejected_with_one_text(self, entry, value):
         # a config used to take each, then end in numpy's bare TypeError or ValueError, or (True) draw seed 1
-        with pytest.raises(DomainError, match=rf"^seed must be nonnegative, got {value}$"):
+        with pytest.raises(DomainError, match=rf"^seed must be nonnegative, got {value!r}$"):
             self.ENTRY_POINTS[entry](value)
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
@@ -499,10 +509,11 @@ class TestMonteCarloHarness:
         ("smooth", -0.5), ("smooth", 1.0), ("smooth", float("nan")),
     ])
     def test_theta_ar_outside_its_domain_is_rejected_naming_the_setting(self, dgp, theta_ar):
-        settings = [SimSetting(p=20, T=30, sigma2=0.1),
-                    SimSetting(p=20, T=30, sigma2=0.1, theta_ar=theta_ar)]
-        with pytest.raises(DomainError, match=rf"^settings\[1\]: theta_ar must .*, got {theta_ar}$"):
-            self.spec(dgp=dgp, settings=settings)
+        # |theta_ar| < 1 is the setting's own rule; [0, 1) is the smooth study's, which names the setting
+        prefix = r"settings\[1\]: " if abs(theta_ar) < 1 else ""
+        with pytest.raises(DomainError, match=rf"^{prefix}theta_ar must .*, got {theta_ar}$"):
+            self.spec(dgp=dgp, settings=[SimSetting(p=20, T=30, sigma2=0.1),
+                                         SimSetting(p=20, T=30, sigma2=0.1, theta_ar=theta_ar)])
 
     @pytest.mark.parametrize("dgp, theta_ar", [("rough", -0.9), ("rough", 0.9), ("smooth", 0.0)])
     def test_theta_ar_inside_its_domain_is_accepted(self, dgp, theta_ar):
@@ -568,7 +579,7 @@ class TestMonteCarloHarness:
 
         calls = []
         monkeypatch.setattr(simulate, "_run_sse_rep", lambda *args: calls.append(args))
-        with pytest.raises(DomainError, match=f"^workers must be >= 1, got {workers}$"):
+        with pytest.raises(DomainError, match=f"^workers must be >= 1, got {workers!r}$"):
             run_monte_carlo(self.spec(), workers=workers)
         assert calls == []
 
@@ -787,14 +798,27 @@ class TestMonteCarloHarness:
          DimensionError, r"^settings\[1\]: rough DGP needs p >= 3, got 2$"),
         ({"methods": ["pca", "bspline", "pca"]}, DomainError, "'pca' is listed more than once"),
         ({"dgp": "smooth", "smooth_K": 3}, DimensionError, r"^smooth_K must be >= 4 .*, got 3$"),
-        ({"dgp": "smooth", "signal_variance": float("nan")}, DomainError, r"^settings\[0\]: .*signal_variance"),
+        ({"dgp": "smooth", "signal_variance": float("nan")}, DomainError,
+         r"^signal_variance must be finite and nonnegative, got nan$"),
     ], ids=["rough-p-2", "repeated-method", "smooth_K-3", "signal_variance-nan"])
     def test_a_signal_the_study_cannot_generate_is_rejected_by_the_spec(self, fields, error, message):
         with pytest.raises(error, match=message):
             self.spec(**fields)
 
-    def test_a_noise_test_study_draws_no_signal_so_signal_keys_are_not_checked(self):
-        self.spec(kind="noise-test", dgp="smooth", smooth_K=3, signal_variance=float("nan"))
+    @pytest.mark.parametrize("fields, error, message", [
+        ({"smooth_K": 3}, DimensionError, "smooth_K must be >= 4 for the cubic spline basis, got 3"),
+        ({"signal_variance": float("nan")}, DomainError, "signal_variance must be finite and nonnegative, got nan"),
+    ], ids=["smooth_K-3", "signal_variance-nan"])
+    def test_a_noise_test_study_checks_the_signal_keys_before_any_replication_runs(
+            self, monkeypatch, fields, error, message):
+        # a noise-test study draws no signal, yet each key takes its one rule: both used to pass unchecked
+        import fdfactor.simulate as simulate
+
+        calls = []
+        with monkeypatch.context() as patch, pytest.raises(error, match=f"^{re.escape(message)}$"):
+            patch.setattr(simulate, "_run_test_rep", lambda *args: calls.append(args))
+            run_monte_carlo(self.spec(kind="noise-test", dgp="smooth", **fields))
+        assert calls == []
         spec = self.spec(kind="noise-test", settings=[SimSetting(p=2, T=30, sigma2=0.1)])
         row = run_monte_carlo(spec).results[0]  # the test itself has too few grid points
         assert (row.failures, row.failure_causes) == (5, {"DimensionError": 5})
@@ -809,6 +833,7 @@ class TestMonteCarloHarness:
         pytest.param(lambda spec: bspline_basis(5.5, 0.3), DimensionError, id="bspline-K"),
         pytest.param(lambda spec: residual_acf(np.arange(6.0), 2.5), DimensionError, id="acf-h_max"),
         pytest.param(lambda spec: spec(dgp="smooth", smooth_K=8.5), DimensionError, id="spec-smooth_K"),
+        pytest.param(lambda spec: spec(kind="noise-test", smooth_K=8.5), DimensionError, id="spec-smooth_K-noise-test"),
         pytest.param(lambda spec: spec(replications=2.5), DomainError, id="spec-replications"),
         pytest.param(lambda spec: spec(replications=True), DomainError, id="spec-replications-bool"),
         pytest.param(lambda spec: spec(seed=1.5), DomainError, id="spec-seed"),
@@ -819,6 +844,21 @@ class TestMonteCarloHarness:
         # each used to end in a bare TypeError, or (l_fixed) in a study of failed replications
         with pytest.raises(error):
             build(self.spec)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"methods": "pca"}, "methods must be a nonempty list of method names, got 'pca'"),
+        ({"methods": [["pca"]]}, "methods must be a nonempty list of method names, got [['pca']]"),
+        ({"settings": 5}, "settings must be a nonempty list of SimSetting, got 5"),
+        ({"settings": [{"p": 20, "T": 30, "sigma2": 0.1}]},
+         "settings must be a nonempty list of SimSetting, got [{'p': 20, 'T': 30, 'sigma2': 0.1}]"),
+        ({"smooth_K": "21"}, "smooth_K must be >= 4 for the cubic spline basis, got '21'"),
+        ({"kind": "noise-test", "smooth_K": "21"}, "smooth_K must be >= 4 for the cubic spline basis, got '21'"),
+    ], ids=["methods-str", "methods-nested", "settings-int", "settings-dict", "smooth_K-str", "smooth_K-str-noise-test"])
+    def test_a_field_of_the_wrong_type_is_an_input_error_naming_it(self, fields, message):
+        # methods="pca" used to read as ['a', 'c', 'p'], the next two and the dict ended in a bare TypeError,
+        # and a rough or noise-test study took any smooth_K
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            self.spec(**fields)
 
     def test_numpy_integers_are_counts(self):
         spec = self.spec(replications=np.int64(2), seed=np.uint32(7), l_fixed=np.int8(2),
