@@ -217,7 +217,7 @@ def _cmd_diagnose(args):
 
 
 def _spec_fields(obj, cls, defaults: dict) -> dict:
-    """The ``cls`` fields that a JSON object gives, an integer as a float in a float field; faults name the key.
+    """The ``cls`` fields of a JSON object, a float field's integer as a float (+-inf if too big); faults name the key.
 
     The keys are the field names, ``l`` for ``l_fixed`` and no ``levels``; any other key is a fault, so a
     misspelt key never runs on a default.  Each field's type and range are the dataclass's own rule.
@@ -230,7 +230,7 @@ def _spec_fields(obj, cls, defaults: dict) -> dict:
     obj = {**defaults, **obj}
     if missing := [k for k, f in keys.items() if k not in obj and f.default is dataclasses.MISSING]:
         raise PanelFormatError(f"missing key {missing[0]!r}")
-    return {f.name: float(obj[k]) if f.type == "float" and type(obj[k]) is int else obj[k]
+    return {f.name: float(str(obj[k])) if f.type == "float" and type(obj[k]) is int else obj[k]
             for k, f in keys.items() if k in obj}
 
 

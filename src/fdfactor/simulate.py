@@ -491,16 +491,15 @@ def _aggregate(kind: str, good: np.ndarray) -> dict:
 def run_monte_carlo(spec: SimulationSpec, workers: Optional[int] = None) -> SimulationSummary:
     """Run a full study grid; deterministic for a given spec regardless of workers.
 
-    Each (setting, replication) pair draws from its own derived stream, and
-    results are aggregated in replication order, so scheduling cannot affect
-    the output.  ``workers`` (None for 1) must be an integer >= 1, else
-    DomainError before any replication runs.  A setting runs in ``workers``
-    chunks, each under numpy's default error state: the caller runs the first,
-    ``workers - 1`` pool threads the rest, and ``workers`` draw threads fill each
-    chunk's next arrays with normals.  The next setting waits for this one's
-    chunks, and the study holds ``_one_blas_thread``.  A replication raising one
-    of ``REPLICATION_ERRORS`` counts as failed, by its exception's class name,
-    and is excluded; any other propagates.
+    Each (setting, replication) pair draws from its own derived stream, and results are
+    aggregated in replication order, so scheduling cannot affect the output.  ``workers``
+    (None for 1) must be an integer >= 1, else DomainError before any replication runs.  A
+    setting runs in ``workers`` chunks under numpy's default error state, each drawing its
+    next arrays one replication ahead: the caller runs the first, and one pool of
+    ``2 * workers - 1`` threads the others and every draw.  The next setting waits for this
+    one's chunks, and the study holds ``_one_blas_thread``.  A replication raising one of
+    ``REPLICATION_ERRORS`` counts as failed, by its exception's class name, and is excluded;
+    any other propagates, and a pool chunk then stops before its next replication.
     """
     from concurrent.futures import ThreadPoolExecutor  # here, so that other commands never load it
 
@@ -512,17 +511,17 @@ def run_monte_carlo(spec: SimulationSpec, workers: Optional[int] = None) -> Simu
 
     def run_chunk(si, first):
         reps, out = range(R)[first:first + firsts.step], []
-        ahead = draws.submit(_fill, *_normals(spec, si, reps[0]))
+        ahead = pool.submit(_fill, *_normals(spec, si, reps[0]))
         with np.errstate(all="warn", under="ignore"):  # numpy's defaults, on the calling thread as in the pool
             for ri in reps:  # replication ri computes while a draw thread fills ri + 1
                 normals = ahead.result()
-                ahead = draws.submit(_fill, *_normals(spec, si, ri + 1)) if ri + 1 in reps else None
+                ahead = pool.submit(_fill, *_normals(spec, si, ri + 1)) if ri + 1 in reps else None
                 out.append(runner(spec, spec.settings[si], normals))
         return out
 
     results = []
-    with (_one_blas_thread() as blas_threads, ThreadPoolExecutor(workers, "fdfactor-draws") as draws,
-          ThreadPoolExecutor(max(1, workers - 1)) as pool):  # closed first, while its chunks can still draw
+    # pool chunks block on draws: fewer than workers threads deadlock; 2 * workers - 1 keeps a draw thread per chunk
+    with _one_blas_thread() as blas_threads, ThreadPoolExecutor(2 * workers - 1, "fdfactor-mc") as pool:
         for si, setting in enumerate(spec.settings):
             rest = [pool.submit(run_chunk, si, first) for first in firsts[1:]]
             cells = run_chunk(si, 0) + [c for f in rest for c in f.result()]

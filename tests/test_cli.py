@@ -715,11 +715,16 @@ class TestSimulateSpecValidation:
         ({"settings": [{"p": 1, "T": 40, "sigma2": 0.05}]}, "settings[0]: a setting needs p >= 2 and T >= 2"),
         ({"l_policy": "auto"}, "unknown L policy 'auto'"),
         ({"settings": [{"p": 2, "T": 40, "sigma2": 0.05}]}, "settings[0]: rough DGP needs p >= 3, got 2"),
-    ], ids=["json-type", "setting", "study-key", "signal-config"])
+        # a JSON integer past the float range reads as inf, as 1e400 does
+        ({"settings": [{"p": 20, "T": 40, "sigma2": 10**400}]},
+         "settings[0]: sigma2 must be finite and nonnegative, got inf"),
+        ({"cutoff": -10**400}, "cutoff must lie in [0, 1), got -inf"),
+    ], ids=["json-type", "setting", "study-key", "signal-config", "setting-int-overflow", "study-int-overflow"])
     def test_every_spec_fault_names_the_file_once(self, tmp_path, capsys, fields, message):
         code, err, path, out = self.run(tmp_path, capsys, json.dumps({**self.BASE, **fields}))
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {path}: {message}") and err.count(path) == 1
+        assert not (tmp_path / "sim").exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exits_2_before_the_seed_line(

@@ -566,10 +566,9 @@ class TestMonteCarloHarness:
         settings = [SimSetting(p=20, T=30, sigma2=0.1)] * 3
         for workers in (None, 1, 2, 3):
             run_monte_carlo(self.spec(settings=settings, replications=2), workers=workers)
-        # two executors per study, whatever its number of settings: one draw thread per worker
-        assert [n for prefix, n in pools if prefix == "fdfactor-draws"] == [1, 1, 2, 3]
-        # and a chunk pool of workers - 1 threads, at least 1, which starts none at workers 1
-        assert [n for prefix, n in pools if prefix != "fdfactor-draws"] == [1, 1, 1, 2]
+        # one executor per study, whatever its number of settings: workers - 1 chunk threads and one draw
+        # thread per chunk, so a default study's one thread draws and the caller computes
+        assert pools == [("fdfactor-mc", n) for n in (1, 1, 3, 5)]
 
     @pytest.mark.parametrize("workers", [2.5, "2", 0, -3, True])
     def test_a_worker_count_below_one_or_not_an_integer_is_rejected_before_any_replication(
@@ -593,7 +592,7 @@ class TestMonteCarloHarness:
         monkeypatch.setattr(threading.Thread, "start", start_spy)
         before = threading.active_count()
         run_monte_carlo(self.spec(settings=[SimSetting(p=20, T=30, sigma2=0.1)] * 3, replications=4))
-        assert len(started) == 1 and started[0].startswith("fdfactor-draws")
+        assert len(started) == 1 and started[0].startswith("fdfactor-mc")
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("kind", ["sse", "noise-test"])
@@ -930,31 +929,40 @@ class TestDrawnAhead:
     def test_draws_run_on_the_helper_and_replications_on_the_chunk_thread(self, monkeypatch):
         import fdfactor.simulate as simulate
 
-        streams, draws, reps = [], [], []
+        streams, draws, reps = {}, {}, {}  # replication -> the names of the threads that made, drew and ran it
+        rngs, lists = [], []  # (stream, replication) and (arrays, replication), kept so that `is` finds them
         real_rng, real_fill, real_runner = simulate.replication_rng, simulate._fill, simulate._run_sse_rep
 
         def rng_spy(*args):  # called where the replication's arrays are allocated
-            streams.append((args, threading.current_thread().name))
-            return real_rng(*args)
+            rng = real_rng(*args)
+            rngs.append((rng, args[2]))
+            streams.setdefault(args, []).append(threading.current_thread().name)
+            return rng
 
         def fill_spy(rng, arrays):
-            draws.append(threading.current_thread().name)
+            ri = next(r for g, r in rngs if g is rng)
+            lists.append((arrays, ri))
+            draws.setdefault(ri, []).append(threading.current_thread().name)
             return real_fill(rng, arrays)
 
-        def runner_spy(*args):
-            reps.append(threading.current_thread().name)
-            return real_runner(*args)
+        def runner_spy(spec, setting, normals):
+            reps.setdefault(next(r for a, r in lists if a is normals), []).append(threading.current_thread().name)
+            return real_runner(spec, setting, normals)
 
         monkeypatch.setattr(simulate, "replication_rng", rng_spy)
         monkeypatch.setattr(simulate, "_fill", fill_spy)
         monkeypatch.setattr(simulate, "_run_sse_rep", runner_spy)
         run_monte_carlo(self.spec("rough-sse", replications=7), workers=3)
-        # each replication allocated on a chunk thread and drawn once, on a draw thread, none beyond a chunk's end
-        assert sorted(args for args, _ in streams) == [(321, 0, ri) for ri in range(7)]
-        assert not any(name.startswith("fdfactor-draws") for _, name in streams)
-        assert len(draws) == 7 and all(name.startswith("fdfactor-draws") for name in draws)
-        assert len(reps) == 7 and not any(name.startswith("fdfactor-draws") for name in reps)
-        assert reps.count(threading.current_thread().name) == 3  # the caller runs the first chunk, 0-2
+        caller = threading.current_thread().name
+        # each replication allocated once, on the thread that runs it, none beyond a chunk's end
+        assert sorted(streams) == [(321, 0, ri) for ri in range(7)]
+        assert all(len(names) == 1 for names in streams.values())
+        assert reps == {ri: streams[321, 0, ri] for ri in range(7)}
+        # and drawn once, on a pool thread other than its chunk's, never on the calling thread
+        assert sorted(draws) == list(range(7)) and all(len(names) == 1 for names in draws.values())
+        assert all(draws[ri][0].startswith("fdfactor-mc") and draws[ri] != reps[ri] for ri in range(7))
+        assert [ri for ri in range(7) if reps[ri] == [caller]] == [0, 1, 2]  # the caller runs the first chunk
+        assert all(names[0].startswith("fdfactor-mc") for ri, names in reps.items() if ri > 2)
 
     @pytest.mark.parametrize("exc", [TypeError, KeyboardInterrupt])
     @pytest.mark.parametrize("workers", [1, 2])
@@ -968,6 +976,27 @@ class TestDrawnAhead:
         before = threading.active_count()
         with pytest.raises(exc, match="raised by the runner"):
             run_monte_carlo(self.spec("rough-sse", replications=6), workers)
+        assert threading.active_count() == before
+
+    def test_a_fault_on_the_calling_thread_stops_the_pool_chunk_early(self, monkeypatch):
+        # the pool chunk's next draw can no longer be submitted once the pool shuts down
+        import fdfactor.simulate as simulate
+
+        caller, real = threading.current_thread(), simulate._run_sse_rep
+        calls = {"caller": 0, "pool": 0}
+
+        def faulting(*args):
+            on_caller = threading.current_thread() is caller
+            calls["caller" if on_caller else "pool"] += 1
+            if on_caller and calls["caller"] == 2:
+                raise TypeError("raised by the runner")
+            return real(*args)
+
+        monkeypatch.setattr(simulate, "_run_sse_rep", faulting)
+        before = threading.active_count()
+        with pytest.raises(TypeError, match="raised by the runner"):
+            run_monte_carlo(self.spec("rough-sse", replications=2000), workers=2)
+        assert calls["caller"] == 2 and calls["pool"] < 1000
         assert threading.active_count() == before
 
     def test_an_interrupt_stops_the_study_at_the_running_replication(self, monkeypatch, fake_blas):
